@@ -301,19 +301,51 @@ type GPUDevice struct {
 
 	// batchBuf holds the in-flight launch's batch until its completion
 	// event fires; only one launch runs at a time, so one buffer
-	// suffices. keepBuf is launch's scratch for the queue remainder and
-	// nfaGroups is NextFreeAt's batch-compression scratch — all reused
-	// across calls so the steady-state hot path allocates nothing.
-	batchBuf  []*Task
-	keepBuf   []*Task
-	nfaGroups []gpuGroup
+	// suffices. keepBuf is launch's scratch for the queue remainder —
+	// both reused across calls so the steady-state hot path allocates
+	// nothing.
+	batchBuf []*Task
+	keepBuf  []*Task
+	// backlog is the queue's per-kernel compression, one group per
+	// queued kernel in first-seen queue order, kept current by Submit and
+	// launch so NextFreeAt costs O(kernels) instead of O(queue).
+	// backlogBuf is launch's scratch for the groups of the remainder.
+	backlog    []gpuGroup
+	backlogBuf []gpuGroup
 }
 
-// gpuGroup accumulates NextFreeAt's per-kernel queue compression.
+// gpuGroup is one queued kernel's share of the GPU backlog: its task
+// count, the widest batch capacity and the longest latency among them.
 type gpuGroup struct {
 	kernel string
 	n, cap int
 	lat    float64
+}
+
+// addToBacklog folds one queued task into its kernel's group, appending a
+// new group when the kernel is not yet queued. A node runs a handful of
+// kernels, so the linear lookup beats a map and allocates nothing.
+func addToBacklog(groups []gpuGroup, t *Task) []gpuGroup {
+	gi := -1
+	for i := range groups {
+		if groups[i].kernel == t.Kernel {
+			gi = i
+			break
+		}
+	}
+	if gi < 0 {
+		groups = append(groups, gpuGroup{kernel: t.Kernel, cap: 1})
+		gi = len(groups) - 1
+	}
+	gr := &groups[gi]
+	if t.Batch > gr.cap {
+		gr.cap = t.Batch
+	}
+	if t.LatencyMS > gr.lat {
+		gr.lat = t.LatencyMS
+	}
+	gr.n++
+	return groups
 }
 
 // NewGPU attaches a simulated GPU board to a simulator.
@@ -376,6 +408,7 @@ func (g *GPUDevice) Submit(t *Task) {
 	}
 	t.enqueuedAt = g.sim.Now()
 	g.queue = append(g.queue, t)
+	g.backlog = addToBacklog(g.backlog, t)
 	if !g.running {
 		// (Re-)evaluate at the next event boundary: a new arrival may
 		// complete a batch that was waiting on its window.
@@ -410,6 +443,7 @@ func (g *GPUDevice) launch() {
 		// owners' OnFail callbacks re-place the tasks on healthy boards.
 		q := g.queue
 		g.queue = nil
+		g.backlog = g.backlog[:0]
 		g.setPower(g.idlePower())
 		for _, t := range q {
 			g.failTask(t)
@@ -445,13 +479,16 @@ func (g *GPUDevice) launch() {
 	// variant): fragmenting batches by directive variant would collapse
 	// the GPU's throughput exactly when the scheduler is load-balancing
 	// variants under pressure. One slot stays reserved for the
-	// cap-justifying task until it is taken.
+	// cap-justifying task until it is taken. The remainder's backlog
+	// groups are rebuilt alongside it.
 	batch := g.batchBuf[:0]
 	keep := g.keepBuf[:0]
+	rest := g.backlogBuf[:0]
 	capTaken := wi < 0
 	for i, t := range g.queue {
 		if t.Kernel != head.Kernel {
 			keep = append(keep, t)
+			rest = addToBacklog(rest, t)
 			continue
 		}
 		slots := cap - len(batch)
@@ -467,13 +504,16 @@ func (g *GPUDevice) launch() {
 			batch = append(batch, t)
 		} else {
 			keep = append(keep, t)
+			rest = addToBacklog(rest, t)
 		}
 	}
-	g.batchBuf, g.keepBuf = batch, keep
+	g.batchBuf, g.keepBuf, g.backlogBuf = batch, keep, rest
 	if len(batch) < cap && head.WindowMS > 0 {
 		deadline := head.enqueuedAt + sim.Time(head.WindowMS)
 		if g.sim.Now() < deadline {
 			// Re-assemble the original queue order and wait out the window.
+			// The backlog groups stay as they are: the queued multiset is
+			// unchanged and the head's kernel still comes first.
 			q := g.queue[:0]
 			q = append(q, batch...)
 			q = append(q, keep...)
@@ -484,6 +524,7 @@ func (g *GPUDevice) launch() {
 		}
 	}
 	g.queue = append(g.queue[:0], keep...)
+	g.backlog, g.backlogBuf = rest, g.backlog
 
 	lvl := g.spec.DVFS[g.level]
 	latMS := head.LatencyMS
@@ -522,42 +563,18 @@ func (g *GPUDevice) launch() {
 }
 
 // NextFreeAt reports when the board could start another launch, counting
-// the queue's accumulated work at the current DVFS point.
+// the queue's accumulated work at the current DVFS point. The backlog is
+// batch-compressed: each kernel's queued tasks coalesce into
+// ceil(n/batch) launches of its longest latency, summed in first-seen
+// queue order.
 func (g *GPUDevice) NextFreeAt() sim.Time {
 	at := g.sim.Now()
 	if g.running && g.freeAt > at {
 		at = g.freeAt
 	}
 	lvl := g.spec.DVFS[g.level]
-	// Pending queue work, batch-compressed: each implementation's queued
-	// tasks coalesce into ceil(n/batch) launches. Groups accumulate in
-	// first-seen order in a reusable scratch slice (a handful of kernels
-	// at most, so the linear lookup beats a map and allocates nothing).
-	groups := g.nfaGroups[:0]
-	for _, t := range g.queue {
-		gi := -1
-		for i := range groups {
-			if groups[i].kernel == t.Kernel {
-				gi = i
-				break
-			}
-		}
-		if gi < 0 {
-			groups = append(groups, gpuGroup{kernel: t.Kernel, cap: 1})
-			gi = len(groups) - 1
-		}
-		gr := &groups[gi]
-		if t.Batch > gr.cap {
-			gr.cap = t.Batch
-		}
-		if t.LatencyMS > gr.lat {
-			gr.lat = t.LatencyMS
-		}
-		gr.n++
-	}
-	g.nfaGroups = groups
-	for i := range groups {
-		gr := &groups[i]
+	for i := range g.backlog {
+		gr := &g.backlog[i]
 		launches := (gr.n + gr.cap - 1) / gr.cap
 		at += sim.Time(float64(launches) * gr.lat / lvl.FreqScale)
 	}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -42,26 +43,37 @@ func polySession(tb testing.TB, b Bench, cacheCap int, opts Options) *Server {
 // mix, reconfiguration count, and energy. This is the end-to-end form of
 // the memoization soundness contract: if any cached plan differed from
 // cold planning, the event-driven simulation would diverge and some series
-// below would split.
+// below would split. The 40 RPS trace exercises hits; the 200 RPS trace
+// saturates the node, so its signatures never repeat and the cache spends
+// most of the run backed off. Either way every admit plans once, so the
+// cache's hits+misses must equal the arrivals.
 func TestServeCachedMatchesUncached(t *testing.T) {
+	for _, rps := range []float64{40, 200} {
+		t.Run(fmt.Sprintf("rps=%v", rps), func(t *testing.T) {
+			serveCachedMatchesUncached(t, rps)
+		})
+	}
+}
+
+func serveCachedMatchesUncached(t *testing.T, rps float64) {
 	b := benches(t, "ASR")[cluster.HeterPoly]
 	const (
-		rps        = 40.0
 		durationMS = 20000.0
 		seed       = 7
 	)
 	warm := 0.2 * durationMS
 
-	run := func(cacheCap int) (Result, []float64, int, int) {
+	run := func(cacheCap int) (Result, *Server) {
 		sv := polySession(t, b, cacheCap, Options{WarmupMS: warm})
 		NewWorkload(seed).InjectPoisson(sv, rps, 0, sim.Time(durationMS))
-		res := sv.Collect()
-		h, m := sv.PlannerCacheStats()
-		return res, sv.LatencySamples(), h, m
+		return sv.Collect(), sv
 	}
 
-	resC, latC, hits, misses := run(-1) // default cache
-	resU, latU, hu, mu := run(0)        // disabled
+	resC, svC := run(-1) // default cache
+	resU, svU := run(0)  // disabled
+	latC, latU := svC.LatencySamples(), svU.LatencySamples()
+	hits, misses := svC.PlannerCacheStats()
+	hu, mu := svU.PlannerCacheStats()
 	if hu != 0 || mu != 0 {
 		t.Fatalf("uncached session recorded cache traffic: hits=%d misses=%d", hu, mu)
 	}
@@ -106,13 +118,21 @@ func TestServeCachedMatchesUncached(t *testing.T) {
 		}
 	}
 
-	// The trace must actually exercise the cache. (A Poisson process
-	// presents continuously-valued backlogs, so hits come only from the
-	// recurring idle/light signatures — the >50 % steady-state hit-rate
-	// requirement is asserted under constant-interval load, where the
-	// admission-time state genuinely recurs; see TestServeConstantLoadHitRate.)
-	if hits == 0 {
+	if hits+misses != resC.Arrivals {
+		t.Fatalf("hits %d + misses %d != %d plans made", hits, misses, resC.Arrivals)
+	}
+	// The trace must actually exercise the cache path under test. (A
+	// Poisson process presents continuously-valued backlogs, so hits come
+	// only from the recurring idle/light signatures — the >50 %
+	// steady-state hit-rate requirement is asserted under
+	// constant-interval load, where the admission-time state genuinely
+	// recurs; see TestServeConstantLoadHitRate.) At saturation the cache
+	// must have backed off: skipped plans are misses it never stored.
+	if rps < 100 && hits == 0 {
 		t.Fatalf("cached session never hit (hits=%d misses=%d)", hits, misses)
+	}
+	if stored := svC.planner.(*sched.Scheduler).PlanCacheLen(); rps >= 100 && stored >= misses {
+		t.Fatalf("saturated session stored %d plans for %d misses: the cache never backed off", stored, misses)
 	}
 }
 

@@ -58,8 +58,10 @@ func BenchmarkScheduleUncached(b *testing.B) {
 }
 
 // BenchmarkScheduleChurn drives the planner with a device state that never
-// repeats (worst case for the cache): every iteration is a miss, so this
-// bounds the overhead the cache layer adds to cold planning.
+// repeats (worst case for the cache): every iteration is a miss. Past the
+// first planCacheBackoffRun misses the cache backs off and only one plan
+// in planCacheProbeEvery renders a key, so this tracks the cold planner
+// plus the backoff's residual cache cost.
 func BenchmarkScheduleChurn(b *testing.B) {
 	s, _, _ := buildSched(b)
 	s.SetLoadHint(40)

@@ -3,9 +3,6 @@ package sched
 import (
 	"encoding/binary"
 	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // PlanCache memoizes complete request plans keyed by an exact signature
@@ -34,62 +31,34 @@ import (
 // oscillates between operating points, the plans for both points stay
 // warm.
 //
-// The cache is sharded 16 ways by key hash, and the hit path is
-// lock-free: each shard publishes an immutable read map through an
-// atomic.Pointer, so steady-state readers load one pointer and index —
-// no RWMutex, no read-side cache-line writes beyond the recency stamp —
-// and concurrent fleet shards plan without contention. Writes use the
-// sync.Map discipline: inserts go to a mutable dirty map under a
-// per-shard mutex (copied from the read map once per promotion cycle,
-// not per insert), read-misses consult the dirty map under the same
-// mutex, and once dirty lookups outnumber the dirty map's size the
-// dirty map is promoted — published as the new immutable read map. A
-// read-miss is about to run the full planner anyway, so the slow path's
-// mutex is noise; the hot path (a key already promoted) never blocks.
-// The ordering contract is seal-then-publish: a plan is sealed (frozen,
-// fingerprinted under plancheck) before put is called, and the mutex
-// (dirty hits) or the atomic promotion store (read hits) is the release
-// barrier that makes the sealed plan visible to readers. Recency is
-// tracked with atomic stamps from a global clock. Eviction is batched
-// approximate-LRU: overflow evicts the globally oldest-stamped entries
-// (the exact LRU victim in sequential use), plus capacity/8 more so the
-// scan amortizes to O(1) per insert.
+// A cache belongs to one planner and is not safe for concurrent use, like
+// the planner's own scratch state: every serving session and fleet shard
+// builds its own planner. It is one map plus an exact LRU list.
+//
+// Under saturation the node never presents the same signature twice, so
+// every lookup misses and the key build, lookup and insert are pure
+// overhead. After planCacheBackoffRun consecutive misses the cache backs
+// off: only one plan in planCacheProbeEvery renders its key, looks it up
+// and inserts its result; the others plan cold directly and count as
+// misses, so hits+misses is still the number of plans. The first hit
+// ends the backoff. Backing off never changes a plan, only whether it is
+// remembered.
 type PlanCache struct {
 	capacity int
-	clock    atomic.Uint64
-	size     atomic.Int64
-	hits     atomic.Int64
-	misses   atomic.Int64
-	shards   [planCacheShards]planShard
+	entries  map[string]*planEntry
+	// lru is the recency list's sentinel: lru.next is the most recently
+	// used entry and lru.prev the least.
+	lru          planEntry
+	hits, misses int
+	// missRun counts the misses (probed or skipped) since the last hit.
+	missRun int
 }
 
-const planCacheShards = 16
-
-// planMap is one shard's published generation: readers treat it as
-// immutable; once a map has been stored in planShard.read it is never
-// written again.
-type planMap = map[string]*planEntry
-
-type planShard struct {
-	// mu guards dirty and missed, and serializes put/evict/promotion.
-	// The read-hit path never takes it.
-	mu sync.Mutex
-	// read is the shard's immutable published map; never nil.
-	read atomic.Pointer[planMap]
-	// dirty, when non-nil, is a superset of *read plus unpromoted
-	// inserts. It is mutable only until promotion publishes it as the
-	// new read map, after which the next insert copies it afresh.
-	dirty planMap
-	// missed counts read-misses that hit dirty; reaching len(dirty)
-	// triggers promotion, so the amortized promotion cost is O(1).
-	missed int
-}
-
-// planEntry is one memoized plan; the stamp is its last-touched tick.
+// planEntry is one memoized plan, linked into the recency list.
 type planEntry struct {
-	key   string
-	plan  *Plan
-	stamp atomic.Uint64
+	key        string
+	plan       *Plan
+	prev, next *planEntry
 }
 
 // defaultPlanCacheCapacity bounds the key space one planner retains.
@@ -99,189 +68,106 @@ type planEntry struct {
 // capping worst-case memory at a few MB per session.
 const defaultPlanCacheCapacity = 4096
 
+const (
+	// planCacheBackoffRun is the miss run that puts the cache in backoff.
+	// Sessions whose signatures do recur still miss in long runs while a
+	// backlog builds and drains: at 256 the benchmark's low-load hit ratio
+	// is unchanged and its diurnal fleet's moves by 0.001, while at 64 the
+	// fleet's drops by 0.02 (DESIGN.md §9).
+	planCacheBackoffRun = 256
+	// planCacheProbeEvery is the backoff's probe period: one plan in this
+	// many still goes through the cache, so a workload that starts
+	// repeating hits again within two periods.
+	planCacheProbeEvery = 16
+)
+
 // newPlanCache builds a cache bounded to capacity entries; capacity <= 0
 // returns nil (cache disabled).
 func newPlanCache(capacity int) *PlanCache {
 	if capacity <= 0 {
 		return nil
 	}
-	c := &PlanCache{capacity: capacity}
-	for i := range c.shards {
-		m := make(planMap)
-		c.shards[i].read.Store(&m)
-	}
+	c := &PlanCache{capacity: capacity, entries: make(map[string]*planEntry)}
+	c.lru.next, c.lru.prev = &c.lru, &c.lru
 	return c
 }
 
-// shardOf hashes the key (FNV-1a, folded) to a shard index.
-func shardOf(key []byte) int {
-	var h uint64 = 14695981039346656037
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
+// plan returns the memoized plan for the signature key renders, or runs
+// cold, seals its plan and memoizes it. A nil cache always runs cold and
+// counts nothing; a backed-off cache runs cold without rendering the key.
+func (c *PlanCache) plan(key func() []byte, cold func() (*Plan, error)) (*Plan, error) {
+	if c == nil {
+		return cold()
 	}
-	return int((h ^ h>>32) & (planCacheShards - 1))
+	if c.missRun >= planCacheBackoffRun && c.missRun%planCacheProbeEvery != 0 {
+		c.misses++
+		c.missRun++
+		return cold()
+	}
+	k := key()
+	if hit := c.get(k); hit != nil {
+		return hit, nil
+	}
+	p, err := cold()
+	if err != nil {
+		return nil, err
+	}
+	// Pre-sort before sealing so every hit carries the start order and
+	// the serving loop never re-sorts.
+	p.Order()
+	p.seal()
+	c.put(k, p)
+	return p, nil
 }
 
-// get returns the cached plan for the key, or nil. The result is the
-// shared sealed plan — callers must not mutate it. The hot path is
-// lock-free: one atomic pointer load, one map index, and an atomic
-// recency stamp; the acquire on the pointer load pairs with promotion's
-// publishing store, so a visible entry always carries a fully sealed
-// plan. Keys not yet promoted fall through to the dirty map under the
-// shard mutex — a miss there proceeds to the full planner, so the lock
-// never sits on the steady-state path.
+// get returns the cached plan for the key, or nil, and counts the lookup.
+// The result is the shared sealed plan — callers must not mutate it.
 func (c *PlanCache) get(key []byte) *Plan {
-	sh := &c.shards[shardOf(key)]
-	m := *sh.read.Load()
 	// map[string([]byte)] compiles to an allocation-free lookup.
-	e := m[string(key)]
+	e := c.entries[string(key)]
 	if e == nil {
-		e = sh.dirtyLookup(key)
-	}
-	if e == nil {
-		c.misses.Add(1)
+		c.misses++
+		c.missRun++
 		return nil
 	}
-	c.hits.Add(1)
-	e.stamp.Store(c.clock.Add(1))
-	p := e.plan
+	c.hits++
+	c.missRun = 0
+	c.unlink(e)
+	c.pushFront(e)
 	if planCheckEnabled {
-		p.verifySeal()
+		e.plan.verifySeal()
 	}
-	return p
+	return e.plan
 }
 
-// dirtyLookup is get's slow path: consult the unpromoted inserts, and
-// promote the dirty map once it has absorbed as many read-misses as it
-// holds entries (the sync.Map policy — promotion cost amortizes to O(1)
-// per insert).
-func (sh *planShard) dirtyLookup(key []byte) *planEntry {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.dirty == nil {
-		return nil
-	}
-	e := sh.dirty[string(key)]
-	if e == nil {
-		return nil
-	}
-	sh.missed++
-	if sh.missed >= len(sh.dirty) {
-		m := sh.dirty
-		sh.read.Store(&m)
-		sh.dirty = nil
-		sh.missed = 0
-	}
-	return e
-}
-
-// put stores a sealed plan under the key, evicting the oldest-stamped
-// entries when over capacity. The insert lands in the shard's dirty
-// map; the read map is copied into a fresh dirty map only when none
-// exists (once per promotion cycle, not per insert), so sustained-miss
-// workloads do not rebuild the map on every plan.
+// put stores a sealed plan under a key get just missed, as the most
+// recently used entry, recycling the least recently used one when the
+// cache is full.
 func (c *PlanCache) put(key []byte, p *Plan) {
 	if planCheckEnabled {
 		p.verifySeal()
 	}
-	sh := &c.shards[shardOf(key)]
-	sh.mu.Lock()
-	k := string(key)
-	fresh := true
-	if sh.dirty == nil {
-		read := *sh.read.Load()
-		sh.dirty = make(planMap, len(read)+1)
-		for ok, ov := range read {
-			sh.dirty[ok] = ov
-		}
-		sh.missed = 0
+	var e *planEntry
+	if len(c.entries) >= c.capacity {
+		e = c.lru.prev
+		c.unlink(e)
+		delete(c.entries, e.key)
+	} else {
+		e = new(planEntry)
 	}
-	if _, ok := sh.dirty[k]; ok {
-		// Same signature planned twice (e.g. after a stats reset): the
-		// planner is deterministic, so the plans are interchangeable.
-		// Concurrent readers may still hold the old entry — publish a
-		// new one instead of mutating in place.
-		fresh = false
-	}
-	e := &planEntry{key: k, plan: p}
-	e.stamp.Store(c.clock.Add(1))
-	sh.dirty[k] = e
-	sh.mu.Unlock()
-	if fresh && int(c.size.Add(1)) > c.capacity {
-		c.evictOverflow()
-	}
+	e.key, e.plan = string(key), p
+	c.entries[e.key] = e
+	c.pushFront(e)
 }
 
-// evictOverflow drops the oldest-stamped entries until the cache is
-// capacity/8 under capacity. Batching keeps the full scan amortized: at
-// sustained-miss insert rates the scan runs once per capacity/8 inserts.
-func (c *PlanCache) evictOverflow() {
-	need := int(c.size.Load()) - c.capacity
-	if need <= 0 {
-		return
-	}
-	need += c.capacity / 8
-	type victim struct {
-		stamp uint64
-		shard int
-		key   string
-	}
-	var cands []victim
-	for si := range c.shards {
-		// The dirty map (when present) is a superset of the read map;
-		// scanning it under the shard mutex sees every live entry.
-		sh := &c.shards[si]
-		sh.mu.Lock()
-		m := sh.dirty
-		if m == nil {
-			m = *sh.read.Load()
-		}
-		for k, e := range m {
-			cands = append(cands, victim{stamp: e.stamp.Load(), shard: si, key: k})
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].stamp < cands[j].stamp })
-	if need > len(cands) {
-		need = len(cands)
-	}
-	// One rebuild per shard, dropping that shard's victims in a batch
-	// and publishing the survivors as the new read map. The stamp
-	// recheck keeps entries that were touched (or replaced) since the
-	// scan.
-	var drop [planCacheShards]map[string]uint64
-	for _, v := range cands[:need] {
-		if drop[v.shard] == nil {
-			drop[v.shard] = make(map[string]uint64)
-		}
-		drop[v.shard][v.key] = v.stamp
-	}
-	for si := range drop {
-		if len(drop[si]) == 0 {
-			continue
-		}
-		sh := &c.shards[si]
-		sh.mu.Lock()
-		old := sh.dirty
-		if old == nil {
-			old = *sh.read.Load()
-		}
-		next := make(planMap, len(old))
-		removed := 0
-		for k, e := range old {
-			if st, ok := drop[si][k]; ok && e.stamp.Load() == st {
-				removed++
-				continue
-			}
-			next[k] = e
-		}
-		sh.read.Store(&next)
-		sh.dirty = nil
-		sh.missed = 0
-		sh.mu.Unlock()
-		c.size.Add(int64(-removed))
-	}
+func (c *PlanCache) unlink(e *planEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+func (c *PlanCache) pushFront(e *planEntry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	c.lru.next.prev = e
+	c.lru.next = e
 }
 
 // Len returns the number of cached plans.
@@ -289,7 +175,7 @@ func (c *PlanCache) Len() int {
 	if c == nil {
 		return 0
 	}
-	return int(c.size.Load())
+	return len(c.entries)
 }
 
 // Stats returns the hit/miss counters accumulated since creation.
@@ -297,21 +183,30 @@ func (c *PlanCache) Stats() (hits, misses int) {
 	if c == nil {
 		return 0, 0
 	}
-	return int(c.hits.Load()), int(c.misses.Load())
+	return c.hits, c.misses
 }
 
 // appendPlanKeyDevices appends the exact device-state signature to b.
 // Strings are NUL-terminated (device names and impl IDs never contain
 // NUL) and floats are written as raw IEEE-754 bits, so two states map to
-// the same key iff the planner would see bit-identical inputs.
-func appendPlanKeyDevices(b []byte, devices []DeviceState) []byte {
+// the same key iff the planner would see bit-identical inputs. A resident
+// bitstream with an interned index (loadedIdx[i] >= 0; a nil loadedIdx
+// interns nothing) is written as a tag byte and that index — a tenth of
+// the ID's length — and any other as a different tag and the full ID.
+func appendPlanKeyDevices(b []byte, devices []DeviceState, loadedIdx []int32) []byte {
 	for i := range devices {
 		d := &devices[i]
 		b = append(b, d.Name...)
 		b = append(b, 0, byte(d.Class))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.FreeAtMS))
-		b = append(b, d.LoadedImpl...)
-		b = append(b, 0)
+		if loadedIdx != nil && loadedIdx[i] >= 0 {
+			b = append(b, 1)
+			b = binary.LittleEndian.AppendUint32(b, uint32(loadedIdx[i]))
+		} else {
+			b = append(b, 0)
+			b = append(b, d.LoadedImpl...)
+			b = append(b, 0)
+		}
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.ReconfigMS))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.FreqScale))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.lastEndMS))

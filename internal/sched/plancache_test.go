@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -53,6 +54,12 @@ func TestPlanCacheKeying(t *testing.T) {
 		}, false},
 		{"bitstream residency keys", func(s *Scheduler, devs []DeviceState) {
 			devs[1].LoadedImpl = ""
+		}, false},
+		{"other resident bitstream keys", func(s *Scheduler, devs []DeviceState) {
+			devs[1].LoadedImpl = devs[2].LoadedImpl
+		}, false},
+		{"unknown resident bitstream keys", func(s *Scheduler, devs []DeviceState) {
+			devs[1].LoadedImpl = "unknown|bitstream"
 		}, false},
 		{"reconfig penalty keys", func(s *Scheduler, devs []DeviceState) {
 			devs[1].ReconfigMS *= 2
@@ -369,9 +376,97 @@ func TestImplIDsInterned(t *testing.T) {
 		t.Fatal("no implementations inspected")
 	}
 	// The scheduler's identity index must round-trip every frontier impl.
-	for id, im := range s.implByID {
-		if ImplID(im) != id {
-			t.Fatalf("implByID key %q does not match its impl's ID %q", id, ImplID(im))
+	for id, i := range s.implIdx {
+		if ImplID(s.impls[i]) != id {
+			t.Fatalf("interned ID %q does not match its impl's ID %q", id, ImplID(s.impls[i]))
 		}
+	}
+}
+
+// TestPlanCacheBackoff checks the zero-hit backoff: a sustained stream of
+// never-repeating signatures stops rendering keys and inserting plans
+// except on periodic probes, a following phase of repeating signatures
+// hits again within two probe periods, and skipped plans still count, so
+// hits+misses is the number of plans throughout.
+func TestPlanCacheBackoff(t *testing.T) {
+	c := newPlanCache(defaultPlanCacheCapacity)
+	var keys, colds int
+	plan := func(key string) bool {
+		h0, _ := c.Stats()
+		_, err := c.plan(func() []byte { keys++; return []byte(key) },
+			func() (*Plan, error) { colds++; return &Plan{}, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		h1, _ := c.Stats()
+		return h1 > h0
+	}
+
+	const churn = 4096
+	for i := 0; i < churn; i++ {
+		if plan(fmt.Sprintf("churn-%d", i)) {
+			t.Fatal("a never-repeating signature hit")
+		}
+	}
+	probes := (churn - planCacheBackoffRun + planCacheProbeEvery - 1) / planCacheProbeEvery
+	if want := planCacheBackoffRun + probes; keys != want || c.Len() != want {
+		t.Fatalf("churn rendered %d keys and kept %d plans, want %d of each", keys, c.Len(), want)
+	}
+	if colds != churn {
+		t.Fatalf("%d cold plans for %d calls", colds, churn)
+	}
+
+	// Repeating phase: a small cycle of signatures, like a node settling
+	// into a few recurring states.
+	const repeat = 400
+	firstHit := -1
+	for i := 0; i < repeat; i++ {
+		if plan(fmt.Sprintf("steady-%d", i%4)) && firstHit < 0 {
+			firstHit = i
+		}
+	}
+	if firstHit < 0 || firstHit > 2*planCacheProbeEvery {
+		t.Fatalf("first hit after backoff at call %d, want within %d", firstHit, 2*planCacheProbeEvery)
+	}
+	h, m := c.Stats()
+	if h+m != churn+repeat {
+		t.Fatalf("hits %d + misses %d != %d plans", h, m, churn+repeat)
+	}
+	if colds != m {
+		t.Fatalf("%d cold plans but %d misses", colds, m)
+	}
+	if want := repeat - firstHit - 4; h < want {
+		t.Fatalf("%d hits in the repeating phase, want at least %d once backoff ends", h, want)
+	}
+}
+
+// TestScheduleBackoffMatchesUncached drives a scheduler through a churn
+// phase long enough to back off and a repeating phase that ends it,
+// requiring every plan to match an uncached scheduler bit for bit.
+func TestScheduleBackoffMatchesUncached(t *testing.T) {
+	cached, _, _ := buildSched(t)
+	cold, _, _ := buildSched(t)
+	cold.SetPlanCacheCapacity(0)
+	devsA, devsB := steadyDevices(cached), steadyDevices(cold)
+	const calls = 2 * planCacheBackoffRun
+	for i := 0; i < calls; i++ {
+		backlog := float64(i) * 1e-3 // churn: never repeats
+		if i >= planCacheBackoffRun*3/2 {
+			backlog = float64(i%3) * 0.5 // repeating
+		}
+		devsA[0].FreeAtMS, devsB[0].FreeAtMS = backlog, backlog
+		pa, err := cached.Schedule(devsA, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := cold.Schedule(devsB, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plansBitIdentical(t, fmt.Sprintf("call %d", i), pa, pb)
+	}
+	h, m := cached.PlanCacheStats()
+	if h == 0 || h+m != calls {
+		t.Fatalf("hits=%d misses=%d over %d calls", h, m, calls)
 	}
 }

@@ -56,6 +56,11 @@ type DeviceState struct {
 	// start before it (no cross-bitstream pipelining, no cross-kernel
 	// batching); the same implementation may share from FreeAtMS.
 	lastEndMS float64
+	// loaded is planner-internal: LoadedImpl resolved against the
+	// scheduler's design spaces (nil when blank or unknown), set once per
+	// planning call and moved by commit, so residency checks compare
+	// pointers instead of looking up the ID.
+	loaded *model.Impl
 }
 
 // availableAt returns when a task of the given implementation could start
@@ -254,9 +259,14 @@ type Scheduler struct {
 	order []string
 	// wl caches the latency priorities.
 	wl map[string]float64
-	// implByID resolves implementation identities, used to recognize the
-	// bitstream already resident on an FPGA (stickiness).
-	implByID map[string]*model.Impl
+	// implIdx interns implementation identities to dense indices into
+	// impls. Each planning call resolves the devices' resident bitstreams
+	// through it once (loadedIdx, -1 when blank or unknown): placement
+	// compares the resolved pointers, and the plan-cache key carries the
+	// 4-byte index instead of the ID.
+	implIdx   map[string]int32
+	impls     []*model.Impl
+	loadedIdx []int32
 	// gpuCands precomputes the Step-1 GPU candidate list per kernel
 	// (min-latency variant plus, when distinct, the max-throughput
 	// batched variant) so placement loops never allocate or rescan the
@@ -345,21 +355,29 @@ func New(prog *opencl.Program, spaces *dse.KernelSpaces) (*Scheduler, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
+	frontier := 0 // Pareto impls across all spaces, to presize interning
 	for _, k := range prog.Kernels() {
-		if spaces.Space(k.Name, device.GPU) == nil && spaces.Space(k.Name, device.FPGA) == nil {
+		gpu, fpga := spaces.Space(k.Name, device.GPU), spaces.Space(k.Name, device.FPGA)
+		if gpu == nil && fpga == nil {
 			return nil, fmt.Errorf("sched: kernel %q has no design space", k.Name)
+		}
+		for _, sp := range []*dse.Space{gpu, fpga} {
+			if sp != nil {
+				frontier += len(sp.Pareto)
+			}
 		}
 	}
 	s := &Scheduler{prog: prog, spaces: spaces, pcie: device.DefaultPCIe, slack: defaultSlackFactor,
 		batchN:   1,
-		implByID: make(map[string]*model.Impl),
+		implIdx:  make(map[string]int32, frontier),
+		impls:    make([]*model.Impl, 0, frontier),
 		gpuCands: make(map[string][]*model.Impl),
 		cache:    newPlanCache(defaultPlanCacheCapacity)}
 	for _, k := range prog.Kernels() {
 		for _, class := range []device.Class{device.GPU, device.FPGA} {
 			if sp := spaces.Space(k.Name, class); sp != nil {
 				for _, im := range sp.Pareto {
-					s.implByID[ImplID(im)] = im
+					s.intern(im)
 				}
 			}
 		}
@@ -610,9 +628,26 @@ func (s *Scheduler) computePriorities() {
 	})
 }
 
+// intern registers an implementation under its identity; a later impl
+// with the same identity replaces the earlier one.
+func (s *Scheduler) intern(im *model.Impl) {
+	id := ImplID(im)
+	if i, ok := s.implIdx[id]; ok {
+		s.impls[i] = im
+		return
+	}
+	s.implIdx[id] = int32(len(s.impls))
+	s.impls = append(s.impls, im)
+}
+
 // ImplByID resolves an implementation identity from this scheduler's
 // design spaces, or nil.
-func (s *Scheduler) ImplByID(id string) *model.Impl { return s.implByID[id] }
+func (s *Scheduler) ImplByID(id string) *model.Impl {
+	if i, ok := s.implIdx[id]; ok {
+		return s.impls[i]
+	}
+	return nil
+}
 
 // PreferredFPGAImpl returns the implementation the runtime should keep
 // resident for a kernel on otherwise-idle FPGAs: the most energy-
@@ -642,15 +677,45 @@ func (s *Scheduler) PreferredFPGAImpl(kernel string) *model.Impl {
 
 // resident returns the implementation loaded on an FPGA if it implements
 // the given kernel, else nil.
-func (s *Scheduler) resident(kernel string, d *DeviceState) *model.Impl {
-	if d.Class != device.FPGA || d.LoadedImpl == "" {
+func (d *DeviceState) resident(kernel string) *model.Impl {
+	if d.Class != device.FPGA || d.loaded == nil || d.loaded.Kernel != kernel {
 		return nil
 	}
-	im := s.implByID[d.LoadedImpl]
-	if im == nil || im.Kernel != kernel {
-		return nil
+	return d.loaded
+}
+
+// holdsOtherKernel reports whether an FPGA's resident bitstream serves a
+// kernel other than the given one: placement, repair and energy swaps
+// treat such a board as occupied rather than evict it casually.
+func (d *DeviceState) holdsOtherKernel(kernel string) bool {
+	return d.Class == device.FPGA && d.loaded != nil && d.loaded.Kernel != kernel
+}
+
+// resolveLoaded interns each device's resident bitstream ID into
+// loadedIdx, once per planning call.
+func (s *Scheduler) resolveLoaded(devices []DeviceState) {
+	idx := s.loadedIdx[:0]
+	for i := range devices {
+		li := int32(-1)
+		if id := devices[i].LoadedImpl; id != "" {
+			if j, ok := s.implIdx[id]; ok {
+				li = j
+			}
+		}
+		idx = append(idx, li)
 	}
-	return im
+	s.loadedIdx = idx
+}
+
+// attachLoaded points working copies of the resolved devices at their
+// resident implementations (nil when blank or unknown).
+func (s *Scheduler) attachLoaded(work []DeviceState) {
+	for i := range work {
+		work[i].loaded = nil
+		if j := s.loadedIdx[i]; j >= 0 {
+			work[i].loaded = s.impls[j]
+		}
+	}
 }
 
 // Schedule runs both optimization steps for one request. devices is the
@@ -673,23 +738,10 @@ func (s *Scheduler) Schedule(devices []DeviceState, boundMS float64) (*Plan, err
 	if boundMS <= 0 {
 		boundMS = s.prog.LatencyBoundMS
 	}
-	if s.cache == nil {
-		return s.scheduleCold(devices, boundMS)
-	}
-	key := s.planKey(devices, boundMS)
-	if hit := s.cache.get(key); hit != nil {
-		return hit, nil
-	}
-	plan, err := s.scheduleCold(devices, boundMS)
-	if err != nil {
-		return nil, err
-	}
-	// Pre-sort before sealing so every hit carries the start order and
-	// the serving loop never re-sorts.
-	plan.Order()
-	plan.seal()
-	s.cache.put(key, plan)
-	return plan, nil
+	s.resolveLoaded(devices)
+	return s.cache.plan(
+		func() []byte { return s.planKey(devices, boundMS) },
+		func() (*Plan, error) { return s.scheduleCold(devices, boundMS) })
 }
 
 // PlaceKernel plans a single kernel in isolation against the given device
@@ -708,6 +760,8 @@ func (s *Scheduler) PlaceKernel(kernel string, devices []DeviceState) (*Assignme
 	found := false
 	if ok {
 		work := append([]DeviceState(nil), devices...)
+		s.resolveLoaded(work)
+		s.attachLoaded(work)
 		found = s.findPlacement(ki, work, s.emptySlab, false, &out) ||
 			s.findPlacement(ki, work, s.emptySlab, true, &out)
 	}
@@ -732,7 +786,7 @@ func (s *Scheduler) planKey(devices []DeviceState, boundMS float64) []byte {
 	} else {
 		b = append(b, 0)
 	}
-	b = appendPlanKeyDevices(b, devices)
+	b = appendPlanKeyDevices(b, devices, s.loadedIdx)
 	s.keyBuf = b
 	return b
 }
@@ -746,7 +800,8 @@ func (s *Scheduler) scheduleCold(devices []DeviceState, boundMS float64) (*Plan,
 	// copies live in reusable scratch buffers — nothing below retains
 	// them past the call.
 	base := append(s.scratchBase[:0], devices...)
-	work := append(s.scratchWork[:0], devices...)
+	s.attachLoaded(base)
+	work := append(s.scratchWork[:0], base...)
 	s.scratchBase, s.scratchWork = base, work
 
 	cur, trial, best := &s.states[0], &s.states[1], &s.states[2]
@@ -819,13 +874,11 @@ func (s *Scheduler) repairLatency(cur, trial, best *planState, base []DeviceStat
 				if d.Class == device.GPU {
 					cands = s.gpuCandsIdx[ki]
 				}
-				if res := s.resident(kernel, d); res != nil {
+				if res := d.resident(kernel); res != nil {
 					candBuf[0] = res
 					cands = candBuf[:1]
-				} else if d.Class == device.FPGA && d.LoadedImpl != "" {
-					if other := s.implByID[d.LoadedImpl]; other != nil && other.Kernel != kernel {
-						continue // repair must not evict live bitstreams either
-					}
+				} else if d.holdsOtherKernel(kernel) {
+					continue // repair must not evict live bitstreams either
 				}
 				for _, im := range cands {
 					if im == a.Impl && d.Name == a.Device {
@@ -903,13 +956,11 @@ func (s *Scheduler) findPlacement(ki int32, devices []DeviceState, slab []Assign
 		if d.Class == device.GPU {
 			cands = s.gpuCandsIdx[ki]
 		}
-		if res := s.resident(kernel, d); res != nil {
+		if res := d.resident(kernel); res != nil {
 			candBuf[0] = res
 			cands = candBuf[:1]
-		} else if d.Class == device.FPGA && !allowEvict && d.LoadedImpl != "" {
-			if other := s.implByID[d.LoadedImpl]; other != nil && other.Kernel != kernel {
-				continue // never evict a live bitstream in the first pass
-			}
+		} else if !allowEvict && d.holdsOtherKernel(kernel) {
+			continue // never evict a live bitstream in the first pass
 		}
 		ready := s.estMS(ki, d, slab)
 		for _, im := range cands {
@@ -928,10 +979,8 @@ func (s *Scheduler) findPlacement(ki int32, devices []DeviceState, slab []Assign
 			}
 			commit := d.commitMS(im, batchCap(im))
 			score := end + commitWeight*commit
-			if d.Class == device.FPGA && d.LoadedImpl != "" {
-				if other := s.implByID[d.LoadedImpl]; other != nil && other.Kernel != kernel {
-					score += d.ReconfigMS
-				}
+			if d.holdsOtherKernel(kernel) {
+				score += d.ReconfigMS
 			}
 			if !found || score < bestScore {
 				found = true
@@ -987,6 +1036,7 @@ func (s *Scheduler) commit(a *Assignment, devices []DeviceState) {
 			d.lastEndMS = a.EndMS
 		}
 		d.LoadedImpl = ImplID(a.Impl)
+		d.loaded = a.Impl
 		return
 	}
 }
@@ -1085,19 +1135,15 @@ func (s *Scheduler) rankedSwaps(st *planState, devices []DeviceState, boundMS fl
 			}
 			var candBuf [1]*model.Impl
 			cands := s.candidatesIdx(ki, d.Class)
-			if d.Class == device.FPGA && d.LoadedImpl != "" {
-				res := s.implByID[d.LoadedImpl]
-				switch {
-				case res != nil && res.Kernel == kernel:
-					// Sticky: a board already serving this kernel offers
-					// only its resident bitstream.
-					candBuf[0] = res
-					cands = candBuf[:1]
-				case res != nil:
-					// Never evict another kernel's live bitstream just to
-					// save energy; blank boards are the swap targets.
-					continue
-				}
+			if res := d.resident(kernel); res != nil {
+				// Sticky: a board already serving this kernel offers only
+				// its resident bitstream.
+				candBuf[0] = res
+				cands = candBuf[:1]
+			} else if d.holdsOtherKernel(kernel) {
+				// Never evict another kernel's live bitstream just to save
+				// energy; blank boards are the swap targets.
+				continue
 			}
 			var best rankedSwap
 			found := false

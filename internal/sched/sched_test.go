@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"poly/internal/analysis"
+	"poly/internal/apps"
+	"poly/internal/cluster"
 	"poly/internal/device"
 	"poly/internal/dse"
 	"poly/internal/model"
@@ -460,5 +462,82 @@ func TestBatchCap(t *testing.T) {
 	}
 	if batchCap(&model.Impl{Config: opt.Config{Batch: 8}}) != 8 {
 		t.Fatal("batch cap wrong")
+	}
+}
+
+// TestResidencyInterning guards the planner's resolved-residency pointer
+// against every app's design spaces on every setting. commit stores the
+// placed *model.Impl where residency checks used to look the ID up, so
+// every frontier impl must be the one its ID resolves to; and a resident
+// bitstream the spaces do not know must behave like a blank board —
+// neither sticky nor protected from eviction.
+func TestResidencyInterning(t *testing.T) {
+	for _, app := range apps.All() {
+		pa, err := analysis.AnalyzeProgram(app.Program, analysis.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		explored := 0
+		for _, st := range cluster.Settings() {
+			ks, err := dse.ExploreProgram(pa, st.GPU, st.FPGA)
+			if err != nil {
+				continue // some kernels fit no board of this setting
+			}
+			explored++
+			s, err := New(app.Program, ks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range app.Program.Kernels() {
+				for _, class := range []device.Class{device.GPU, device.FPGA} {
+					sp := ks.Space(k.Name, class)
+					if sp == nil {
+						continue
+					}
+					for _, im := range sp.Pareto {
+						d := []DeviceState{{Name: "dev", Class: class}}
+						s.commit(&Assignment{Kernel: k.Name, Impl: im, Device: "dev"}, d)
+						if d[0].loaded != im || s.ImplByID(d[0].LoadedImpl) != im {
+							t.Fatalf("%s %s: committing %s impl %s does not resolve to itself",
+								app.Name, st.Name, class, ImplID(im))
+						}
+					}
+				}
+			}
+
+			devs := []DeviceState{{Name: "gpu0", Class: device.GPU, FreqScale: 1}}
+			for _, n := range []string{"fpga0", "fpga1"} {
+				devs = append(devs, DeviceState{Name: n, Class: device.FPGA,
+					LoadedImpl: "unknown|bitstream", ReconfigMS: st.FPGA.ReconfigMS, FreqScale: 1})
+			}
+			s.resolveLoaded(devs)
+			s.attachLoaded(devs)
+			for _, k := range app.Program.Kernels() {
+				for i := range devs {
+					if devs[i].resident(k.Name) != nil || devs[i].holdsOtherKernel(k.Name) {
+						t.Fatalf("%s %s: unknown bitstream on %s is sticky or protected for %s",
+							app.Name, st.Name, devs[i].Name, k.Name)
+					}
+				}
+			}
+			// End to end: the unknown bitstream plans exactly like a blank
+			// board.
+			s.SetPlanCacheCapacity(0)
+			unknown, err := s.Schedule(devs, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range devs {
+				devs[i].LoadedImpl = ""
+			}
+			blank, err := s.Schedule(devs, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plansBitIdentical(t, app.Name+" "+st.Name, unknown, blank)
+		}
+		if explored == 0 {
+			t.Fatalf("%s: no setting has design spaces for every kernel", app.Name)
+		}
 	}
 }

@@ -249,24 +249,13 @@ func (sp *StaticPlanner) Schedule(devices []DeviceState, boundMS float64) (*Plan
 	if boundMS <= 0 {
 		boundMS = sp.prog.LatencyBoundMS
 	}
-	if sp.cache == nil {
-		return sp.scheduleCold(devices, boundMS)
-	}
-	key := binary.LittleEndian.AppendUint64(sp.keyBuf[:0], sp.healthEpoch)
-	key = binary.LittleEndian.AppendUint64(key, math.Float64bits(boundMS))
-	key = appendPlanKeyDevices(key, devices)
-	sp.keyBuf = key
-	if hit := sp.cache.get(key); hit != nil {
-		return hit, nil
-	}
-	plan, err := sp.scheduleCold(devices, boundMS)
-	if err != nil {
-		return nil, err
-	}
-	plan.Order()
-	plan.seal()
-	sp.cache.put(key, plan)
-	return plan, nil
+	return sp.cache.plan(func() []byte {
+		key := binary.LittleEndian.AppendUint64(sp.keyBuf[:0], sp.healthEpoch)
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(boundMS))
+		key = appendPlanKeyDevices(key, devices, nil)
+		sp.keyBuf = key
+		return key
+	}, func() (*Plan, error) { return sp.scheduleCold(devices, boundMS) })
 }
 
 func (sp *StaticPlanner) scheduleCold(devices []DeviceState, boundMS float64) (*Plan, error) {
