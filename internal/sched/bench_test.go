@@ -3,7 +3,11 @@ package sched
 import (
 	"testing"
 
+	"poly/internal/analysis"
+	"poly/internal/apps"
+	"poly/internal/cluster"
 	"poly/internal/device"
+	"poly/internal/dse"
 )
 
 // steadyDevices models the node state a mid-load steady phase presents
@@ -74,6 +78,41 @@ func BenchmarkScheduleChurn(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkScheduleEnergyStep is the cold planner for the ASR app on a
+// light-load Setting-I node — blank FPGAs, a small GPU backlog, load hint
+// 10 — where Step 2 spends the slack over many swap rounds. swaps/op is
+// the number of energy swaps each plan applies.
+func BenchmarkScheduleEnergyStep(b *testing.B) {
+	app := apps.All()[0]
+	pa, err := analysis.AnalyzeProgram(app.Program, analysis.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ks, err := dse.ExploreProgram(pa, cluster.SettingI.GPU, cluster.SettingI.FPGA)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := New(app.Program, ks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.SetLoadHint(10)
+	s.SetPlanCacheCapacity(0)
+	devs := settingIDevices()
+	devs[0].FreeAtMS = 2
+	var swaps int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := s.Schedule(devs, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		swaps = p.EnergySwaps
+	}
+	b.ReportMetric(float64(swaps), "swaps/op")
 }
 
 var _ = device.GPU

@@ -36,7 +36,8 @@ import (
 
 // DeviceState is the scheduler's view of one accelerator at planning time.
 type DeviceState struct {
-	// Name identifies the board within the node.
+	// Name identifies the board within the node. Names must be unique
+	// within one device vector: Schedule and PlaceKernel reject a repeat.
 	Name string
 	// Class is GPU or FPGA.
 	Class device.Class
@@ -289,9 +290,20 @@ type Scheduler struct {
 	// for device bookkeeping.
 	scratchBase, scratchWork []DeviceState
 	// resimDevs is resimulate's reusable device scratch; swapsBuf backs
-	// rankedSwaps' candidate list.
+	// the energy step's ranked swap list and swapsNew one kernel's
+	// re-ranked entries; swapDevs lists the boards light enough to take a
+	// swap and blankBest memoizes one candidate scan per (class, DVFS
+	// point) of a kernel's ranking.
 	resimDevs []DeviceState
 	swapsBuf  []rankedSwap
+	swapsNew  []rankedSwap
+	swapDevs  []int32
+	blankBest []blankSwap
+	// devOrder/devRank order the planning call's device vector by name:
+	// devRank[i] is device i's position in strings.Compare order, so
+	// swap ranking breaks ties on integers. Duplicate names are rejected
+	// while ranking.
+	devOrder, devRank []int32
 
 	// knames/kidx intern the program's kernel names to dense indices in
 	// declaration order; orderIdx is the W_L-descending priority order
@@ -301,6 +313,9 @@ type Scheduler struct {
 	knames   []string
 	kidx     map[string]int32
 	orderIdx []int32
+	// krank is each kernel's position in strings.Compare order of the
+	// names, the energy step's first tie-break.
+	krank []int32
 	// predsIdx precomputes each kernel's predecessor edges — with the
 	// PCIe transfer time already priced — in declaration-edge order,
 	// matching Program.Preds exactly.
@@ -311,10 +326,10 @@ type Scheduler struct {
 	paretoFPGA  [][]*model.Impl
 	gpuCandsIdx [][]*model.Impl
 	// states are the current/trial/best placement slabs the two-step
-	// planner double-buffers between; emptySlab is a permanently
-	// unplaced slab for single-kernel placement (PlaceKernel).
-	states    [3]planState
-	emptySlab []Assignment
+	// planner double-buffers between; empty is a permanently unplaced
+	// state for single-kernel placement (PlaceKernel).
+	states [3]planState
+	empty  planState
 }
 
 // predEdge is one interned predecessor edge.
@@ -328,7 +343,12 @@ type predEdge struct {
 // The planner owns three and double-buffers trial placements between
 // them, so repair and energy rounds allocate nothing.
 type planState struct {
-	slab       []Assignment
+	slab []Assignment
+	// dev is each placed kernel's board as an index into the planning
+	// call's device vector: resimulation, commit and predecessor checks
+	// locate and compare boards by it. It always names the same board as
+	// the assignment's Device (names are unique per vector).
+	dev        []int32
 	makespanMS float64
 	energyMJ   float64
 }
@@ -336,8 +356,10 @@ type planState struct {
 func (st *planState) reset(nk int) {
 	if cap(st.slab) < nk {
 		st.slab = make([]Assignment, nk)
+		st.dev = make([]int32, nk)
 	} else {
 		st.slab = st.slab[:nk]
+		st.dev = st.dev[:nk]
 		for i := range st.slab {
 			st.slab[i] = Assignment{}
 		}
@@ -347,6 +369,7 @@ func (st *planState) reset(nk int) {
 
 func (st *planState) copyFrom(src *planState) {
 	st.slab = append(st.slab[:0], src.slab...)
+	st.dev = append(st.dev[:0], src.dev...)
 	st.makespanMS, st.energyMJ = src.makespanMS, src.energyMJ
 }
 
@@ -415,6 +438,15 @@ func (s *Scheduler) buildIndex() {
 	for i, name := range s.order {
 		s.orderIdx[i] = s.kidx[name]
 	}
+	byName := make([]int32, nk)
+	for i := range byName {
+		byName[i] = int32(i)
+	}
+	slices.SortFunc(byName, func(a, b int32) int { return strings.Compare(s.knames[a], s.knames[b]) })
+	s.krank = make([]int32, nk)
+	for r, ki := range byName {
+		s.krank[ki] = int32(r)
+	}
 	s.predsIdx = make([][]predEdge, nk)
 	s.paretoGPU = make([][]*model.Impl, nk)
 	s.paretoFPGA = make([][]*model.Impl, nk)
@@ -432,7 +464,7 @@ func (s *Scheduler) buildIndex() {
 		}
 		s.gpuCandsIdx[i] = s.gpuCands[name]
 	}
-	s.emptySlab = make([]Assignment, nk)
+	s.empty.reset(nk)
 }
 
 // candidatesIdx returns the Pareto implementations for a kernel index on
@@ -755,6 +787,9 @@ func (s *Scheduler) PlaceKernel(kernel string, devices []DeviceState) (*Assignme
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("sched: no devices")
 	}
+	if err := s.rankDevices(devices); err != nil {
+		return nil, err
+	}
 	ki, ok := s.kidx[kernel]
 	var out Assignment
 	found := false
@@ -762,8 +797,8 @@ func (s *Scheduler) PlaceKernel(kernel string, devices []DeviceState) (*Assignme
 		work := append([]DeviceState(nil), devices...)
 		s.resolveLoaded(work)
 		s.attachLoaded(work)
-		found = s.findPlacement(ki, work, s.emptySlab, false, &out) ||
-			s.findPlacement(ki, work, s.emptySlab, true, &out)
+		found = s.findPlacement(ki, work, &s.empty, false, &out) >= 0 ||
+			s.findPlacement(ki, work, &s.empty, true, &out) >= 0
 	}
 	if !found {
 		return nil, fmt.Errorf("sched: kernel %q has no implementation on any available device", kernel)
@@ -795,6 +830,9 @@ func (s *Scheduler) planKey(devices []DeviceState, boundMS float64) []byte {
 // lives in the scheduler's reusable slabs; the only retained allocations
 // are the published Plan (one struct, one map, one backing array).
 func (s *Scheduler) scheduleCold(devices []DeviceState, boundMS float64) (*Plan, error) {
+	if err := s.rankDevices(devices); err != nil {
+		return nil, err
+	}
 	// Work on copies: planning must not mutate the caller's device view,
 	// and Step 2 replays placements from the same initial state. The
 	// copies live in reusable scratch buffers — nothing below retains
@@ -809,7 +847,7 @@ func (s *Scheduler) scheduleCold(devices []DeviceState, boundMS float64) (*Plan,
 
 	// Step 1 — latency optimization.
 	for _, ki := range s.orderIdx {
-		if err := s.placeEFT(ki, work, cur.slab); err != nil {
+		if err := s.placeEFT(ki, work, cur); err != nil {
 			return nil, err
 		}
 	}
@@ -825,6 +863,29 @@ func (s *Scheduler) scheduleCold(devices []DeviceState, boundMS float64) (*Plan,
 	// Step 2 — energy-efficiency optimization on the slack.
 	swaps := s.optimizeEnergy(cur, trial, base, boundMS)
 	return s.buildPlan(cur, boundMS, swaps), nil
+}
+
+// rankDevices orders the device vector by name into devRank and rejects a
+// vector in which two boards share a name: placements, predecessor checks
+// and the energy step's tie-break all identify a board by its index, which
+// is only the same as identifying it by name when names are unique.
+func (s *Scheduler) rankDevices(devices []DeviceState) error {
+	order := s.devOrder[:0]
+	for i := range devices {
+		order = append(order, int32(i))
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return strings.Compare(devices[a].Name, devices[b].Name)
+	})
+	rank := slices.Grow(s.devRank[:0], len(devices))[:len(devices)]
+	for r, i := range order {
+		if r > 0 && devices[i].Name == devices[order[r-1]].Name {
+			return fmt.Errorf("sched: duplicate device name %q", devices[i].Name)
+		}
+		rank[i] = int32(r)
+	}
+	s.devOrder, s.devRank = order, rank
+	return nil
 }
 
 // buildPlan publishes the finished placement as a Plan: one backing array
@@ -881,17 +942,22 @@ func (s *Scheduler) repairLatency(cur, trial, best *planState, base []DeviceStat
 					continue // repair must not evict live bitstreams either
 				}
 				for _, im := range cands {
-					if im == a.Impl && d.Name == a.Device {
-						continue
-					}
-					if !s.resimulate(cur, trial, base, ki, swapCandidate{impl: im, device: d.Name}) {
+					if im == a.Impl && int32(di) == cur.dev[ki] {
 						continue
 					}
 					// Score repairs like placements: makespan plus the
 					// marginal occupancy the move leaves behind, so a
 					// batched variant is not beaten by a batch-1 variant
 					// that finishes 2 ms sooner but hogs the device.
-					score := trial.makespanMS + d.commitMS(im, batchCap(im))
+					commit := d.commitMS(im, batchCap(im))
+					cut := noCut
+					if bestFound {
+						cut = trialCut{pad: commit, limit: bestScore, orEqual: true}
+					}
+					if !s.resimulate(cur, trial, base, ki, im, int32(di), cut) {
+						continue
+					}
+					score := trial.makespanMS + commit
 					if !bestFound || score < bestScore {
 						bestFound = true
 						bestScore = score
@@ -912,27 +978,31 @@ func (s *Scheduler) repairLatency(cur, trial, best *planState, base []DeviceStat
 // pass never evicts another kernel's live FPGA bitstream (evictions under
 // load cause reconfiguration storms); if no placement exists without an
 // eviction, a second pass allows it.
-func (s *Scheduler) placeEFT(ki int32, devices []DeviceState, slab []Assignment) error {
-	if !s.findPlacement(ki, devices, slab, false, &slab[ki]) &&
-		!s.findPlacement(ki, devices, slab, true, &slab[ki]) {
+func (s *Scheduler) placeEFT(ki int32, devices []DeviceState, st *planState) error {
+	di := s.findPlacement(ki, devices, st, false, &st.slab[ki])
+	if di < 0 {
+		di = s.findPlacement(ki, devices, st, true, &st.slab[ki])
+	}
+	if di < 0 {
 		return fmt.Errorf("sched: kernel %q has no implementation on any available device", s.knames[ki])
 	}
-	s.commit(&slab[ki], devices)
+	st.dev[ki] = di
+	devices[di].commit(&st.slab[ki])
 	return nil
 }
 
-// findPlacement scores every (device, candidate) pair for one kernel and
-// writes the winner into out, returning false when no placement exists.
-func (s *Scheduler) findPlacement(ki int32, devices []DeviceState, slab []Assignment, allowEvict bool, out *Assignment) bool {
+// findPlacement scores every (device, candidate) pair for one kernel,
+// writes the winner into out and returns its device index, or -1 when no
+// placement exists. Predecessors are read from st.
+func (s *Scheduler) findPlacement(ki int32, devices []DeviceState, st *planState, allowEvict bool, out *Assignment) int32 {
 	kernel := s.knames[ki]
 	// Track the best placement in locals and write the Assignment once at
 	// the end: the inner loop runs per (device, candidate) for every
 	// kernel of every request.
 	var (
-		found                bool
+		bestDi               = int32(-1)
 		bestScore            = math.Inf(1)
 		bestImpl             *model.Impl
-		bestDev              string
 		bestEst, bestEnd     float64
 		bestExec, bestCommit float64
 	)
@@ -962,7 +1032,7 @@ func (s *Scheduler) findPlacement(ki int32, devices []DeviceState, slab []Assign
 		} else if !allowEvict && d.holdsOtherKernel(kernel) {
 			continue // never evict a live bitstream in the first pass
 		}
-		ready := s.estMS(ki, d, slab)
+		ready := s.estMS(ki, int32(di), st)
 		for _, im := range cands {
 			est := ready
 			if avail := d.availableAt(ImplID(im)); avail > est {
@@ -982,35 +1052,36 @@ func (s *Scheduler) findPlacement(ki int32, devices []DeviceState, slab []Assign
 			if d.holdsOtherKernel(kernel) {
 				score += d.ReconfigMS
 			}
-			if !found || score < bestScore {
-				found = true
+			if bestDi < 0 || score < bestScore {
+				bestDi = int32(di)
 				bestScore = score
-				bestImpl, bestDev = im, d.Name
+				bestImpl = im
 				bestEst, bestEnd = est, end
 				bestExec, bestCommit = im.LatencyMS/d.freq(), commit
 			}
 		}
 	}
-	if !found {
-		return false
+	if bestDi < 0 {
+		return -1
 	}
-	*out = Assignment{Kernel: kernel, Impl: bestImpl, Device: bestDev,
+	*out = Assignment{Kernel: kernel, Impl: bestImpl, Device: devices[bestDi].Name,
 		StartMS: bestEst, EndMS: bestEnd, ExecMS: bestExec, CommitMS: bestCommit}
-	return true
+	return bestDi
 }
 
 // estMS computes the predecessor-readiness part of EST(k_i, d_n)
-// (Eq. 4): finish times plus PCIe transfers when crossing boards. The
-// device-queue part is implementation-specific (availableAt).
-func (s *Scheduler) estMS(ki int32, d *DeviceState, slab []Assignment) float64 {
+// (Eq. 4) for kernel ki on device index di: finish times plus PCIe
+// transfers when crossing boards. The device-queue part is
+// implementation-specific (availableAt).
+func (s *Scheduler) estMS(ki, di int32, st *planState) float64 {
 	est := 0.0
 	for _, e := range s.predsIdx[ki] {
-		pa := &slab[e.from]
+		pa := &st.slab[e.from]
 		if pa.Impl == nil {
 			continue // unplaced predecessor: upward rank order prevents this
 		}
 		ready := pa.EndMS
-		if pa.Device != d.Name {
+		if st.dev[e.from] != di {
 			ready += e.transferMS
 		}
 		if ready > est {
@@ -1020,25 +1091,18 @@ func (s *Scheduler) estMS(ki int32, d *DeviceState, slab []Assignment) float64 {
 	return est
 }
 
-// commit books the assignment on its device, advancing the queue estimate
+// commit books the assignment on the device, advancing the queue estimate
 // by the request's marginal occupancy.
-func (s *Scheduler) commit(a *Assignment, devices []DeviceState) {
-	for di := range devices {
-		d := &devices[di]
-		if d.Name != a.Device {
-			continue
-		}
-		free := a.StartMS + a.CommitMS
-		if free > d.FreeAtMS {
-			d.FreeAtMS = free
-		}
-		if a.EndMS > d.lastEndMS {
-			d.lastEndMS = a.EndMS
-		}
-		d.LoadedImpl = ImplID(a.Impl)
-		d.loaded = a.Impl
-		return
+func (d *DeviceState) commit(a *Assignment) {
+	free := a.StartMS + a.CommitMS
+	if free > d.FreeAtMS {
+		d.FreeAtMS = free
 	}
+	if a.EndMS > d.lastEndMS {
+		d.lastEndMS = a.EndMS
+	}
+	d.LoadedImpl = ImplID(a.Impl)
+	d.loaded = a.Impl
 }
 
 // tally recomputes a placement's makespan and energy totals. Sums run in
@@ -1068,160 +1132,261 @@ func (s *Scheduler) tally(st *planState) {
 // bound and strictly reduces energy, until no swap survives — "Poly
 // iteratively updates the kernels' implementations until the latency
 // slack cannot be further reduced." Returns the number of swaps applied.
+//
+// The ranking is built once per call. A swap's W_E depends only on its
+// own kernel's current implementation and execution time and on the
+// call's fixed inputs (initial device states, bound, load hint, group
+// size), and an accepted swap leaves every other kernel's implementation
+// and board — hence its execution time — as it was, so after a swap only
+// the swapped kernel's entries are re-ranked.
 func (s *Scheduler) optimizeEnergy(cur, trial *planState, base []DeviceState, boundMS float64) int {
 	if boundMS-cur.makespanMS <= 0 || s.tpMode {
 		return 0
 	}
+	// Trading latency for energy is a light-load move; piling
+	// energy-preferred work onto an already-backlogged board converts
+	// slack into queueing collapse, so only light boards are targets.
+	targets := s.swapDevs[:0]
+	for di := range base {
+		if base[di].FreeAtMS > 0.2*boundMS {
+			continue
+		}
+		targets = append(targets, int32(di))
+	}
+	s.swapDevs = targets
+	ranked := s.rankedSwaps(cur, base)
 	swaps := 0
 	for round := 0; round < 64; round++ { // bound defends against cycling
-		ranked := s.rankedSwaps(cur, base, boundMS)
-		accepted := false
 		effBound := boundMS * s.slack
 		if effBound < cur.makespanMS {
 			effBound = cur.makespanMS // never tighter than Step 1 achieved
 		}
-		for _, sw := range ranked {
-			if !s.resimulate(cur, trial, base, sw.ki, sw.swapCandidate) ||
+		// A trial whose kernel ends past effBound already has a makespan
+		// past it, so resimulate may stop there.
+		cut := trialCut{limit: effBound}
+		swapped := int32(-1)
+		for i := range ranked {
+			sw := &ranked[i]
+			if !s.resimulate(cur, trial, base, sw.ki, sw.impl, sw.di, cut) ||
 				trial.makespanMS > effBound || trial.energyMJ >= cur.energyMJ {
 				continue
 			}
 			cur.copyFrom(trial)
 			swaps++
-			accepted = true
+			swapped = sw.ki
 			break
 		}
-		if !accepted {
+		if swapped < 0 {
 			return swaps
 		}
+		ranked = s.rerankKernel(ranked, cur, base, swapped)
 	}
 	return swaps
 }
 
-// swapCandidate is a prospective replacement implementation.
-type swapCandidate struct {
-	impl   *model.Impl
-	device string
-}
-
+// rankedSwap is one ranked replacement: kernel ki moves to impl on device
+// index di. tie orders equal-W_E entries by kernel name, then device name.
 type rankedSwap struct {
-	ki     int32
-	kernel string
-	we     float64
-	swapCandidate
+	we   float64
+	tie  int
+	ki   int32
+	di   int32
+	impl *model.Impl
 }
 
-// rankedSwaps enumerates per-kernel replacement candidates and sorts them
-// by descending W_E (Eq. 5): the (ΔP × ΔT) potential of trading latency
-// for power. Only genuinely energy-saving replacements qualify. The
-// returned slice is scratch owned by the scheduler: it is only read
-// within one optimizeEnergy round and reused by the next call.
-func (s *Scheduler) rankedSwaps(st *planState, devices []DeviceState, boundMS float64) []rankedSwap {
+// compareSwaps is the ranking order: W_E descending, then kernel name,
+// then device name. With unique device names there is one entry per
+// (kernel, device), so the order is strict and total and any sort
+// produces the same list.
+func compareSwaps(a, b rankedSwap) int {
+	if a.we != b.we {
+		if a.we > b.we {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.tie, b.tie)
+}
+
+// blankSwap memoizes one kernel's best swap on boards that hold no
+// bitstream: such boards differ only by name within a (class, DVFS point).
+type blankSwap struct {
+	class device.Class
+	freq  float64
+	impl  *model.Impl
+	we    float64
+}
+
+// rankedSwaps enumerates every kernel's replacement candidates on the
+// swap targets and sorts them by descending W_E (Eq. 5): the (ΔP × ΔT)
+// potential of trading latency for power. Only genuinely energy-saving
+// replacements qualify. The returned slice is scheduler-owned scratch
+// (swapsBuf) that lives for one optimizeEnergy call: rerankKernel edits it
+// in place after each accepted swap, and the next cold plan rebuilds it.
+func (s *Scheduler) rankedSwaps(st *planState, base []DeviceState) []rankedSwap {
 	out := s.swapsBuf[:0]
 	for _, ki := range s.orderIdx {
-		a := &st.slab[ki]
-		if a.Impl == nil {
-			continue
-		}
-		kernel := s.knames[ki]
-		cur := a.Impl
-		curT := a.ExecMS
-		for di := range devices {
-			d := &devices[di]
-			if d.FreeAtMS > 0.2*boundMS {
-				// Trading latency for energy is a light-load move; piling
-				// energy-preferred work onto an already-backlogged board
-				// converts slack into queueing collapse.
-				continue
-			}
-			var candBuf [1]*model.Impl
-			cands := s.candidatesIdx(ki, d.Class)
-			if res := d.resident(kernel); res != nil {
-				// Sticky: a board already serving this kernel offers only
-				// its resident bitstream.
-				candBuf[0] = res
-				cands = candBuf[:1]
-			} else if d.holdsOtherKernel(kernel) {
-				// Never evict another kernel's live bitstream just to save
-				// energy; blank boards are the swap targets.
-				continue
-			}
-			var best rankedSwap
-			found := false
-			for _, im := range cands {
-				if im == cur {
-					continue
-				}
-				newT := im.LatencyMS / d.freq()
-				curE := s.perRequestEnergyMJ(cur, curT)
-				newE := s.perRequestEnergyMJ(im, newT)
-				if curE-newE <= 0 {
-					continue // no actual energy saving
-				}
-				we := (cur.PowerW - im.PowerW) * (newT - curT)
-				if !found || we > best.we {
-					found = true
-					best = rankedSwap{ki: ki, kernel: kernel, we: we,
-						swapCandidate: swapCandidate{impl: im, device: d.Name}}
-				}
-			}
-			if found {
-				out = append(out, best)
-			}
-		}
+		out = s.appendKernelSwaps(out, st, base, ki)
 	}
-	slices.SortFunc(out, func(a, b rankedSwap) int {
-		if a.we != b.we {
-			if a.we > b.we {
-				return -1
-			}
-			return 1
-		}
-		if a.kernel != b.kernel {
-			return strings.Compare(a.kernel, b.kernel)
-		}
-		return strings.Compare(a.device, b.device)
-	})
+	slices.SortFunc(out, compareSwaps)
 	s.swapsBuf = out
 	return out
 }
 
-// resimulate rebuilds the placement with the kernel at pinKi moved to
-// cand, re-running list scheduling for start/end bookkeeping on a fresh
-// copy of the initial device states. The result lands in dst; src is
-// untouched. Returns false when the pinned device does not exist.
-func (s *Scheduler) resimulate(src, dst *planState, base []DeviceState, pinKi int32, cand swapCandidate) bool {
+// rerankKernel replaces kernel ki's entries in the sorted ranking with
+// ones computed from its current placement, keeping the list sorted.
+func (s *Scheduler) rerankKernel(ranked []rankedSwap, st *planState, base []DeviceState, ki int32) []rankedSwap {
+	kept := ranked[:0]
+	for _, sw := range ranked {
+		if sw.ki != ki {
+			kept = append(kept, sw)
+		}
+	}
+	fresh := s.appendKernelSwaps(s.swapsNew[:0], st, base, ki)
+	slices.SortFunc(fresh, compareSwaps)
+	s.swapsNew = fresh
+	// Merge from the back so kept's entries move at most once.
+	n, m := len(kept), len(fresh)
+	out := slices.Grow(kept, m)[:n+m]
+	for i, j, k := n-1, m-1, n+m-1; j >= 0; k-- {
+		if i >= 0 && compareSwaps(out[i], fresh[j]) > 0 {
+			out[k] = out[i]
+			i--
+		} else {
+			out[k] = fresh[j]
+			j--
+		}
+	}
+	s.swapsBuf = out
+	return out
+}
+
+// appendKernelSwaps appends kernel ki's best replacement on each swap
+// target to out. Boards already serving the kernel offer only their
+// resident bitstream; boards holding another kernel's bitstream are never
+// evicted to save energy; blank boards share one scan per (class, DVFS
+// point).
+func (s *Scheduler) appendKernelSwaps(out []rankedSwap, st *planState, base []DeviceState, ki int32) []rankedSwap {
+	a := &st.slab[ki]
+	if a.Impl == nil {
+		return out
+	}
+	kernel := s.knames[ki]
+	cur, curT := a.Impl, a.ExecMS
+	curE := s.perRequestEnergyMJ(cur, curT)
+	tieBase := int(s.krank[ki]) * len(base)
+	memo := s.blankBest[:0]
+	for _, di := range s.swapDevs {
+		d := &base[di]
+		freq := d.freq()
+		var (
+			im *model.Impl
+			we float64
+		)
+		if res := d.resident(kernel); res != nil {
+			// Sticky: a board already serving this kernel offers only its
+			// resident bitstream.
+			one := [1]*model.Impl{res}
+			im, we = s.bestSwap(one[:], cur, curT, curE, freq)
+		} else if d.holdsOtherKernel(kernel) {
+			continue
+		} else {
+			hit := false
+			for _, b := range memo {
+				if b.class == d.Class && b.freq == freq {
+					im, we, hit = b.impl, b.we, true
+					break
+				}
+			}
+			if !hit {
+				im, we = s.bestSwap(s.candidatesIdx(ki, d.Class), cur, curT, curE, freq)
+				memo = append(memo, blankSwap{class: d.Class, freq: freq, impl: im, we: we})
+			}
+		}
+		if im != nil {
+			out = append(out, rankedSwap{we: we, tie: tieBase + int(s.devRank[di]), ki: ki, di: di, impl: im})
+		}
+	}
+	s.blankBest = memo
+	return out
+}
+
+// bestSwap returns the candidate with the highest W_E among those that
+// save energy against the current implementation cur (execution time curT,
+// per-request energy curE) on a board at DVFS point freq — the first on
+// ties — or nil.
+func (s *Scheduler) bestSwap(cands []*model.Impl, cur *model.Impl, curT, curE, freq float64) (*model.Impl, float64) {
+	var (
+		best   *model.Impl
+		bestWE float64
+	)
+	for _, im := range cands {
+		if im == cur {
+			continue
+		}
+		newT := im.LatencyMS / freq
+		if curE-s.perRequestEnergyMJ(im, newT) <= 0 {
+			continue // no actual energy saving
+		}
+		we := (cur.PowerW - im.PowerW) * (newT - curT)
+		if best == nil || we > bestWE {
+			best, bestWE = im, we
+		}
+	}
+	return best, bestWE
+}
+
+// trialCut stops a resimulation once the trial is already rejected: when
+// a kernel's EndMS + pad exceeds limit (or reaches it, with orEqual), so
+// does the makespan — the max of EndMS — plus pad, because rounded
+// addition is monotone.
+type trialCut struct {
+	pad, limit float64
+	orEqual    bool
+}
+
+// noCut lets every trial run to the end.
+var noCut = trialCut{limit: math.Inf(1)}
+
+func (c trialCut) past(endMS float64) bool {
+	v := endMS + c.pad
+	return v > c.limit || c.orEqual && v == c.limit
+}
+
+// resimulate rebuilds the placement with kernel pinKi moved to impl pin on
+// device index pinDi, re-running list scheduling for start/end bookkeeping
+// on a fresh copy of the initial device states. The result lands in dst;
+// src is untouched. Returns false, leaving dst partial, when cut stops the
+// trial.
+func (s *Scheduler) resimulate(src, dst *planState, base []DeviceState, pinKi int32, pin *model.Impl, pinDi int32, cut trialCut) bool {
 	// devs is scheduler-owned scratch: resimulate runs inside tight
 	// repair/energy loops and nothing retains it past the call.
 	devs := append(s.resimDevs[:0], base...)
 	s.resimDevs = devs
 	dst.reset(len(s.knames))
 	for _, ki := range s.orderIdx {
-		im, devName := src.slab[ki].Impl, src.slab[ki].Device
+		im, di := src.slab[ki].Impl, src.dev[ki]
 		if ki == pinKi {
-			im, devName = cand.impl, cand.device
+			im, di = pin, pinDi
 		}
 		if im == nil {
 			continue
 		}
-		var dev *DeviceState
-		for di := range devs {
-			if devs[di].Name == devName {
-				dev = &devs[di]
-				break
-			}
-		}
-		if dev == nil {
-			return false
-		}
-		est := s.estMS(ki, dev, dst.slab)
+		dev := &devs[di]
+		est := s.estMS(ki, di, dst)
 		if avail := dev.availableAt(ImplID(im)); avail > est {
 			est = avail
 		}
-		dst.slab[ki] = Assignment{Kernel: s.knames[ki], Impl: im, Device: devName,
-			StartMS: est, EndMS: est + dev.groupExecMS(im, s.batchN),
+		end := est + dev.groupExecMS(im, s.batchN)
+		if cut.past(end) {
+			return false
+		}
+		dst.slab[ki] = Assignment{Kernel: s.knames[ki], Impl: im, Device: dev.Name,
+			StartMS: est, EndMS: end,
 			ExecMS:   im.LatencyMS / dev.freq(),
 			CommitMS: dev.commitMS(im, batchCap(im))}
-		s.commit(&dst.slab[ki], devs)
+		dst.dev[ki] = di
+		dev.commit(&dst.slab[ki])
 	}
 	s.tally(dst)
 	return true

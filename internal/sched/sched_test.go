@@ -496,7 +496,7 @@ func TestResidencyInterning(t *testing.T) {
 					}
 					for _, im := range sp.Pareto {
 						d := []DeviceState{{Name: "dev", Class: class}}
-						s.commit(&Assignment{Kernel: k.Name, Impl: im, Device: "dev"}, d)
+						d[0].commit(&Assignment{Kernel: k.Name, Impl: im, Device: "dev"})
 						if d[0].loaded != im || s.ImplByID(d[0].LoadedImpl) != im {
 							t.Fatalf("%s %s: committing %s impl %s does not resolve to itself",
 								app.Name, st.Name, class, ImplID(im))
