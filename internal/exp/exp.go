@@ -77,7 +77,6 @@ func init() {
 	register("fig12", "trace replay power savings", traceReplay)
 	register("qos", "trace replay QoS violations", qosViolations)
 	register("fleet", "multi-node fleet diurnal replay, per routing policy", fleetReplay)
-	register("fleetscale", "parallel fleet drain wall-clock, nodes × workers grid", fleetScale)
 	register("accuracy", "analytical model vs device simulator", modelAccuracy)
 	register("fig13", "architecture scalability (power splits)", archScalability)
 	register("fig14", "cost efficiency (TCO)", costEfficiency)

@@ -7,15 +7,15 @@ import (
 	"testing"
 
 	"poly/internal/fault"
-	"poly/internal/parallel"
 	"poly/internal/runtime"
 	"poly/internal/sim"
+	"poly/internal/telemetry"
 )
 
 // sameFleetRun fails unless two fleet outcomes are bitwise identical:
 // router accounting, per-node placements and outcomes, aggregate
 // percentiles and energy, and every latency sample in node order. This
-// is the comparison surface the parallel-coordinator gates use.
+// is the comparison surface the epoch-coordinator gates use.
 func sameFleetRun(t *testing.T, what string, a, b Result, latA, latB []float64) {
 	t.Helper()
 	if a.Injected != b.Injected || a.Shed != b.Shed || a.NodeDownEvents != b.NodeDownEvents {
@@ -53,12 +53,11 @@ func sameFleetRun(t *testing.T, what string, a, b Result, latA, latB []float64) 
 	}
 }
 
-// TestFleetParallelBitIdentity is the parallel coordinator's equivalence
-// gate: for every policy × node count × fault setting, a fleet run under
-// the epoch coordinator — at worker-pool sizes 1 and 4 — must be
-// bit-identical to the serial shared-clock reference. This is the
-// contract that lets SyncParallel be the default: parallelism is a pure
-// wall-clock optimization, invisible in every result bit.
+// TestFleetParallelBitIdentity is the epoch coordinator's equivalence
+// gate: for every policy × node count × fault setting, a fleet drained
+// by per-shard simulators under the epoch coordinator must be
+// bit-identical to the same fleet on one shared clock — the reference
+// semantics, which also serve every run under a default telemetry sink.
 func TestFleetParallelBitIdentity(t *testing.T) {
 	b := asrBench(t)
 	const (
@@ -66,9 +65,8 @@ func TestFleetParallelBitIdentity(t *testing.T) {
 		durationMS = 5000.0
 		seed       = 13
 	)
-	t.Cleanup(func() { parallel.SetWorkers(0) })
 
-	run := func(t *testing.T, nodes int, pol Policy, mode SyncMode, faults bool) (Result, []float64) {
+	run := func(t *testing.T, nodes int, pol Policy, shared, faults bool) (Result, []float64) {
 		t.Helper()
 		ro := runtime.Options{WarmupMS: 0.2 * durationMS}
 		if faults {
@@ -80,12 +78,12 @@ func TestFleetParallelBitIdentity(t *testing.T) {
 				{Board: board, Kind: fault.Failure, Start: 2000, End: 1e9},
 			}}
 		}
-		f, err := New(b, Options{Nodes: nodes, Policy: pol, Sync: mode, Runtime: ro})
+		f, err := newFleet(b, Options{Nodes: nodes, Policy: pol, Runtime: ro}, shared)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := f.Sync(); got != mode {
-			t.Fatalf("Sync() = %v, want %v", got, mode)
+		if (f.shared != nil) != shared {
+			t.Fatalf("shared clock = %v, want %v", f.shared != nil, shared)
 		}
 		runtime.NewWorkload(seed).InjectPoisson(f, rps, 0, sim.Time(durationMS))
 		res := f.Collect()
@@ -102,16 +100,12 @@ func TestFleetParallelBitIdentity(t *testing.T) {
 				}
 				what := name
 				t.Run(name, func(t *testing.T) {
-					parallel.SetWorkers(0)
-					serial, serialLat := run(t, nodes, pol, SyncSerial, faults)
-					if serial.Completed == 0 {
-						t.Fatal("serial reference completed nothing; the gate has no teeth")
+					ref, refLat := run(t, nodes, pol, true, faults)
+					if ref.Completed == 0 {
+						t.Fatal("shared-clock reference completed nothing; the gate has no teeth")
 					}
-					for _, workers := range []int{1, 4} {
-						parallel.SetWorkers(workers)
-						par, parLat := run(t, nodes, pol, SyncParallel, faults)
-						sameFleetRun(t, what, serial, par, serialLat, parLat)
-					}
+					got, gotLat := run(t, nodes, pol, false, faults)
+					sameFleetRun(t, what, ref, got, refLat, gotLat)
 				})
 			}
 		}
@@ -125,10 +119,9 @@ func TestFleetParallelBitIdentity(t *testing.T) {
 // and its run-scheduled events at the same instant — plus duplicate
 // times and out-of-order injection (exercising the stable sort's
 // injection-order tie rule). Randomized over several seeds; every trace
-// must be bit-identical across sync modes.
+// must drain bit-identically per shard and on the shared clock.
 func TestFleetEpochBoundaryArrivals(t *testing.T) {
 	b := asrBench(t)
-	t.Cleanup(func() { parallel.SetWorkers(0) })
 
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
@@ -145,11 +138,10 @@ func TestFleetEpochBoundaryArrivals(t *testing.T) {
 		}
 		rng.Shuffle(len(times), func(i, j int) { times[i], times[j] = times[j], times[i] })
 
-		run := func(mode SyncMode, workers int) (Result, []float64) {
+		run := func(shared bool) (Result, []float64) {
 			t.Helper()
-			parallel.SetWorkers(workers)
-			f, err := New(b, Options{Nodes: 4, Policy: LeastUtil, Sync: mode,
-				Runtime: runtime.Options{WarmupMS: 500}})
+			f, err := newFleet(b, Options{Nodes: 4, Policy: LeastUtil,
+				Runtime: runtime.Options{WarmupMS: 500}}, shared)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,13 +152,65 @@ func TestFleetEpochBoundaryArrivals(t *testing.T) {
 			fleetAccounting(t, res)
 			return res, f.LatencySamples()
 		}
-		serial, serialLat := run(SyncSerial, 0)
-		if serial.Completed == 0 {
-			t.Fatal("serial reference completed nothing")
+		ref, refLat := run(true)
+		if ref.Completed == 0 {
+			t.Fatal("shared-clock reference completed nothing")
 		}
-		for _, workers := range []int{1, 4} {
-			par, parLat := run(SyncParallel, workers)
-			sameFleetRun(t, "epoch-boundary", serial, par, serialLat, parLat)
-		}
+		got, gotLat := run(false)
+		sameFleetRun(t, "epoch-boundary", ref, got, refLat, gotLat)
 	}
+}
+
+// TestFleetDefaultSinkKeepsSharedClock: a process-wide default sink is
+// one recorder for every shard, so the fleet must put the shards on one
+// shared clock while it is installed — the recorder then sees spans
+// finish in time order across nodes, which the per-shard drain (one
+// shard after another up to each arrival) would not give it — and the
+// run must stay bit-identical to the same fleet without the sink.
+func TestFleetDefaultSinkKeepsSharedClock(t *testing.T) {
+	b := asrBench(t)
+	const (
+		rps        = 160.0
+		durationMS = 5000.0
+		seed       = 5
+	)
+	run := func() (Result, []float64) {
+		t.Helper()
+		f, err := New(b, Options{Nodes: 4, Policy: LeastUtil,
+			Runtime: runtime.Options{WarmupMS: 1000}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.NewWorkload(seed).InjectPoisson(f, rps, 0, sim.Time(durationMS))
+		res := f.Collect()
+		fleetAccounting(t, res)
+		return res, f.LatencySamples()
+	}
+	ref, refLat := run()
+
+	rec := telemetry.New()
+	runtime.SetDefaultTelemetry(rec)
+	t.Cleanup(func() { runtime.SetDefaultTelemetry(nil) })
+	got, gotLat := run()
+
+	spans := rec.Spans()
+	if len(spans) < 100 {
+		t.Fatalf("recorder kept %d spans; the order check has no teeth", len(spans))
+	}
+	// ArrivedMS+LatencyMS rebuilds the finish instant only to within a
+	// rounding step, so order is checked to 1e-9 ms; the disorder a
+	// per-shard drain produces is whole events apart.
+	const eps = 1e-9
+	prev := math.Inf(-1)
+	for i, sp := range spans {
+		if sp.Dropped {
+			continue
+		}
+		done := sp.ArrivedMS + sp.LatencyMS
+		if done < prev-eps {
+			t.Fatalf("span %d finished at %v ms, before its predecessor at %v ms", i, done, prev)
+		}
+		prev = done
+	}
+	sameFleetRun(t, "default sink vs none", ref, got, refLat, gotLat)
 }

@@ -7,19 +7,19 @@
 // allocated/allocatable/utilization signals the telemetry resource
 // gauges export.
 //
-// Two synchronization modes drive the shards (Options.Sync). SyncSerial
-// runs every shard on ONE shared simulator clock — the reference
-// semantics. SyncParallel (the default) gives each shard its own
-// simulator and runs them concurrently on the internal/parallel worker
-// pool, lock-stepped by a conservative epoch coordinator: the router is
-// the only cross-shard edge, every arrival time is known at injection,
-// so shards can safely advance in parallel up to the next routed
-// arrival, stop on a (time, sequence) barrier, and let the router place
-// that arrival serially before the next epoch (see parallel.go).
+// Each shard runs on its own simulator. Collect drains them with a
+// conservative epoch coordinator, stepped inline on one goroutine: the
+// router is the only cross-shard edge and every arrival time is known
+// at injection, so each shard advances alone up to the next routed
+// arrival, stops on a (time, sequence) barrier, and the router places
+// that arrival before the next epoch (see epoch.go). While a
+// process-wide default telemetry sink is installed, every shard runs on
+// one shared simulator clock instead, so the one recorder sees a single
+// time-ordered timeline; results are the same either way.
 //
-// Determinism: in both modes placements, per-node outcomes, and the
-// aggregate are pure functions of the arrival trace — bit-identical
-// across modes and at any internal/parallel pool size, enforced by
+// Determinism: placements, per-node outcomes, and the aggregate are
+// pure functions of the arrival trace — the per-shard drain is
+// bit-identical to the shared clock, enforced by
 // TestFleetParallelBitIdentity. Router bit-transparency: a 1-node fleet
 // assembles the identical node (empty board-name prefix) and fires the
 // identical event sequence as a direct runtime.Server session, enforced
@@ -46,10 +46,6 @@ import (
 type Options struct {
 	// Nodes is the shard count (1 if zero).
 	Nodes int
-	// Sync selects how shard clocks are driven: SyncParallel (zero
-	// value) runs per-shard simulators concurrently under the epoch
-	// coordinator; SyncSerial runs all shards on one shared clock.
-	Sync SyncMode
 	// Policy is the router's placement policy (Binpack if zero).
 	Policy Policy
 	// NodeCapsW optionally skews per-node power caps (and with them
@@ -70,9 +66,12 @@ type Options struct {
 type shard struct {
 	idx  int
 	name string
-	// sim is the clock the shard's events run on: the fleet's shared
-	// simulator in serial mode, the shard's own in parallel mode.
-	sim  *sim.Simulator
+	// sim is the clock the shard's events run on: the shard's own, or
+	// the fleet's shared simulator under a default telemetry sink.
+	sim *sim.Simulator
+	// mark is the shard's sequence barrier, taken when the per-shard
+	// drain starts (see drainEpochs).
+	mark uint64
 	node *cluster.Node
 	srv  *runtime.Server
 	rec  *telemetry.Recorder
@@ -85,15 +84,14 @@ type shard struct {
 // runtime.ArrivalTarget, so the same Workload generators that drive a
 // single server drive a fleet.
 type Fleet struct {
-	mode SyncMode
-	// sim is the shared clock in serial mode; nil in parallel mode,
-	// where each shard owns its simulator.
-	sim    *sim.Simulator
+	// shared is the one clock every shard runs on under a default
+	// telemetry sink; nil when each shard owns its simulator.
+	shared *sim.Simulator
 	shards []*shard
 	policy Policy
 
-	// arrivals collects injected arrival times in parallel mode; the
-	// coordinator stable-sorts them at Collect (preserving injection
+	// arrivals collects injected arrival times for the per-shard drain;
+	// the coordinator stable-sorts them at Collect (preserving injection
 	// order among equal times, matching the shared clock's FIFO rule)
 	// and routes them epoch by epoch. cursor is the next unrouted index.
 	arrivals []sim.Time
@@ -116,12 +114,21 @@ type Fleet struct {
 	rollup *telemetry.FleetRollup
 }
 
-// New provisions a fleet of opts.Nodes shards of the given bench — on
-// one fresh shared simulator in serial mode, on a fresh simulator per
-// shard in parallel mode. With Nodes == 1 the shard is assembled exactly
-// like a direct session (empty board-name prefix), which the router
-// bit-transparency gate relies on.
+// New provisions a fleet of opts.Nodes shards of the given bench, each
+// on a fresh simulator of its own. While runtime.HasDefaultTelemetry
+// reports a process-wide sink, the shards share one simulator instead:
+// the per-shard drain advances shards one after another, and a recorder
+// shared by all of them would see their timelines out of order. With
+// Nodes == 1 the shard is assembled exactly like a direct session (empty
+// board-name prefix), which the router bit-transparency gate relies on.
 func New(b runtime.Bench, opts Options) (*Fleet, error) {
+	return newFleet(b, opts, runtime.HasDefaultTelemetry())
+}
+
+// newFleet is New with the clock choice explicit: shared puts every
+// shard on one simulator, the reference the equivalence tests compare
+// the per-shard drain against.
+func newFleet(b runtime.Bench, opts Options, shared bool) (*Fleet, error) {
 	n := opts.Nodes
 	if n <= 0 {
 		n = 1
@@ -129,21 +136,12 @@ func New(b runtime.Bench, opts Options) (*Fleet, error) {
 	if opts.Runtime.Telemetry != nil {
 		return nil, fmt.Errorf("fleet: Runtime.Telemetry must be nil (use WithTelemetry for per-shard recorders)")
 	}
-	mode := opts.Sync
-	if mode == SyncParallel && runtime.HasDefaultTelemetry() {
-		// A process-wide fallback sink would be shared by every shard;
-		// it cannot absorb concurrent timelines, so fall back to the
-		// shared clock. Semantics are unchanged (the modes are
-		// bit-identical); only wall-clock parallelism is lost.
-		mode = SyncSerial
-	}
 	f := &Fleet{
-		mode:       mode,
 		policy:     opts.Policy,
 		placements: make([]int, n),
 	}
-	if mode == SyncSerial {
-		f.sim = sim.New()
+	if shared {
+		f.shared = sim.New()
 	}
 	if opts.WithTelemetry {
 		f.rollup = telemetry.NewFleetRollup()
@@ -158,7 +156,7 @@ func New(b runtime.Bench, opts Options) (*Fleet, error) {
 			bi.PowerCapW = opts.NodeCapsW[i]
 		}
 		ro := opts.Runtime
-		sh := &shard{idx: i, name: fmt.Sprintf("n%d", i), sim: f.sim}
+		sh := &shard{idx: i, name: fmt.Sprintf("n%d", i), sim: f.shared}
 		if sh.sim == nil {
 			sh.sim = sim.New()
 		}
@@ -181,14 +179,6 @@ func New(b runtime.Bench, opts Options) (*Fleet, error) {
 
 // Nodes returns the shard count.
 func (f *Fleet) Nodes() int { return len(f.shards) }
-
-// Sync returns the fleet's synchronization mode (after any construction-
-// time downgrade to serial).
-func (f *Fleet) Sync() SyncMode { return f.mode }
-
-// Sim returns the shared simulator clock in serial mode; nil in parallel
-// mode, where each shard owns its clock.
-func (f *Fleet) Sim() *sim.Simulator { return f.sim }
 
 // Server returns shard i's server (panics on a bad index, like a slice).
 func (f *Fleet) Server(i int) *runtime.Server { return f.shards[i].srv }
@@ -237,20 +227,19 @@ func (f *Fleet) ActiveNodes() int {
 
 // Inject schedules one arrival at the given absolute time; the routing
 // decision is deferred to the arrival instant so it reads the fleet's
-// live state. In serial mode the router rides the shared clock as an
-// event; in parallel mode the time is recorded for the epoch
-// coordinator, which routes it between epochs. Implements
-// runtime.ArrivalTarget.
+// live state. The time is recorded for the epoch coordinator, which
+// routes it between epochs; on a shared clock the router rides it as an
+// event instead. Implements runtime.ArrivalTarget.
 func (f *Fleet) Inject(at sim.Time) {
 	f.pending++
-	if f.mode == SyncSerial {
-		f.sim.AtCall(at, fireRoute, f)
+	if f.shared != nil {
+		f.shared.AtCall(at, fireRoute, f)
 		return
 	}
 	f.arrivals = append(f.arrivals, at)
 }
 
-// fireRoute is one arrival's routing event on the serial shared clock.
+// fireRoute is one arrival's routing event on the shared clock.
 func fireRoute(_ sim.Time, a any) {
 	a.(*Fleet).routeOne()
 }
@@ -258,10 +247,9 @@ func fireRoute(_ sim.Time, a any) {
 // routeOne routes a single arrival at the current instant: pick a node
 // by policy and health, hand the arrival to its server, or shed it at
 // the fleet when no node is eligible (the fast-rejection rationale of
-// admission shedding, lifted to the cluster). In parallel mode the
-// coordinator calls it with every shard's clock stopped at the arrival
-// time, so the policy reads the same signals it would on a shared
-// clock.
+// admission shedding, lifted to the cluster). The epoch coordinator
+// calls it with every shard's clock stopped at the arrival time, so the
+// policy reads the same signals it would on a shared clock.
 func (f *Fleet) routeOne() {
 	f.pending--
 	f.injected++
@@ -355,20 +343,20 @@ func (r Result) String() string {
 // each shard and the aggregate. Call once, after all arrivals are
 // injected. The drain loop advances in governor-period steps exactly
 // like Server.Collect — for a 1-node fleet it reduces to the identical
-// RunUntil sequence, which the bit-transparency gate checks. In
-// parallel mode the epoch coordinator reproduces the same sequence per
-// shard (see drainParallel), so results are bit-identical across modes.
+// RunUntil sequence, which the bit-transparency gate checks. The epoch
+// coordinator replays the same sequence per shard (see drainEpochs), so
+// the per-shard drain and the shared clock are bit-identical.
 func (f *Fleet) Collect() Result {
 	period := sim.Time(f.shards[0].srv.GovernorPeriodMS())
-	if f.mode == SyncSerial {
-		horizon := f.sim.Now() + period
+	if f.shared == nil {
+		f.drainEpochs(period)
+	} else {
+		horizon := f.shared.Now() + period
 		for !f.drained() {
-			f.sim.RunUntil(horizon)
+			f.shared.RunUntil(horizon)
 			horizon += period
 		}
-		f.sim.RunUntil(horizon)
-	} else {
-		f.drainParallel(period)
+		f.shared.RunUntil(horizon)
 	}
 
 	res := Result{

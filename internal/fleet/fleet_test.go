@@ -554,26 +554,11 @@ func TestLeastUtilizedTieBreaks(t *testing.T) {
 
 // BenchmarkFleetServe is the fleet-path cost benchmark CI gates: a
 // 4-node fleet behind the least-util router serving the same per-node
-// rate as BenchmarkServeSteadyState. The delta against 4× the steady-
-// state cost is what routing and multi-shard assembly add. Pinned to
-// the serial shared clock so the number keeps meaning "fleet layer
-// overhead"; BenchmarkFleetServeParallel measures the same run under
-// the epoch coordinator.
+// rate as BenchmarkServeSteadyState, drained the only way a fleet
+// drains — per-shard simulators stepped inline by the epoch
+// coordinator. The delta against 4× the steady-state cost is what
+// routing, epoch barriers and multi-shard assembly add.
 func BenchmarkFleetServe(b *testing.B) {
-	benchmarkFleetServe(b, SyncSerial)
-}
-
-// BenchmarkFleetServeParallel is BenchmarkFleetServe under the default
-// parallel sync mode: per-shard simulators advanced concurrently by the
-// epoch coordinator. CI's bench gate asserts its ns/op does not exceed
-// the serial benchmark's (the multi-core speedup claim); on a
-// single-core runner it degrades to the serial path plus coordinator
-// bookkeeping.
-func BenchmarkFleetServeParallel(b *testing.B) {
-	benchmarkFleetServe(b, SyncParallel)
-}
-
-func benchmarkFleetServe(b *testing.B, mode SyncMode) {
 	bench := asrBench(b)
 	const (
 		rps        = 160.0
@@ -582,7 +567,7 @@ func benchmarkFleetServe(b *testing.B, mode SyncMode) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := New(bench, Options{Nodes: 4, Policy: LeastUtil, Sync: mode,
+		f, err := New(bench, Options{Nodes: 4, Policy: LeastUtil,
 			Runtime: runtime.Options{WarmupMS: 1000}})
 		if err != nil {
 			b.Fatal(err)

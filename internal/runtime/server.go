@@ -87,9 +87,10 @@ var defaultTelemetry telemetry.Sink
 func SetDefaultTelemetry(s telemetry.Sink) { defaultTelemetry = s }
 
 // HasDefaultTelemetry reports whether a process-wide fallback sink is
-// installed. The parallel fleet coordinator checks it: one shared sink
-// cannot absorb N concurrent shard timelines, so a fleet downgrades to
-// serial synchronization while a default sink is recording.
+// installed. fleet.New checks it: the fleet's per-shard drain advances
+// shards one after another, which one sink shared by every shard would
+// see out of time order, so while a default sink is recording a fleet
+// runs all its shards on one shared simulator clock instead.
 func HasDefaultTelemetry() bool { return defaultTelemetry != nil }
 
 // defaultRestoreSlack is the planning headroom the governor restores in

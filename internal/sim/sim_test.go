@@ -191,11 +191,18 @@ func TestRunUntilLeavesLaterEvents(t *testing.T) {
 func TestRunUntilBarrierSplitsByMark(t *testing.T) {
 	s := New()
 	var fired []int
-	s.At(10, func() { fired = append(fired, 1) }) // before the barrier time
-	s.At(20, func() { fired = append(fired, 2) }) // at barrier time, pre-mark
+	var firedAt []Time
+	fire := func(id int) func() {
+		return func() {
+			fired = append(fired, id)
+			firedAt = append(firedAt, s.Now())
+		}
+	}
+	s.At(10, fire(1)) // before the barrier time
+	s.At(20, fire(2)) // at barrier time, pre-mark
 	mark := s.SeqMark()
-	s.At(20, func() { fired = append(fired, 3) }) // at barrier time, post-mark
-	s.At(30, func() { fired = append(fired, 4) }) // past the barrier
+	s.At(20, fire(3)) // at barrier time, post-mark
+	s.At(30, fire(4)) // past the barrier
 
 	s.RunUntilBarrier(20, mark)
 	if len(fired) != 2 || fired[0] != 1 || fired[1] != 2 {
@@ -204,12 +211,21 @@ func TestRunUntilBarrierSplitsByMark(t *testing.T) {
 	if s.Now() != 20 {
 		t.Fatalf("clock = %v, want advanced to barrier time 20", s.Now())
 	}
-	if at, seq, ok := s.NextEvent(); !ok || at != 20 || seq < mark {
-		t.Fatalf("NextEvent = (%v, %d, %v), want the held post-mark event at 20", at, seq, ok)
+	if s.Pending() != 2 {
+		t.Fatalf("pending = %d, want the held post-mark event and the one past the barrier", s.Pending())
 	}
-	// A post-barrier advance releases the held event in FIFO order.
+	// Advancing to the barrier time itself releases exactly the held
+	// post-mark event, still at 20.
+	s.RunUntil(20)
+	if len(fired) != 3 || fired[2] != 3 || firedAt[2] != 20 {
+		t.Fatalf("release fired %v at %v, want the held event 3 at 20", fired, firedAt)
+	}
+	if s.Pending() != 1 {
+		t.Fatalf("pending = %d, want only the event past the barrier", s.Pending())
+	}
+	// A post-barrier advance fires the rest in FIFO order.
 	s.RunUntil(30)
-	if len(fired) != 4 || fired[2] != 3 || fired[3] != 4 {
+	if len(fired) != 4 || fired[3] != 4 {
 		t.Fatalf("resume fired %v, want 1 2 3 4", fired)
 	}
 }
@@ -220,8 +236,8 @@ func TestRunUntilBarrierEmptyAdvancesClock(t *testing.T) {
 	if s.Now() != 15 {
 		t.Fatalf("clock = %v, want 15", s.Now())
 	}
-	if _, _, ok := s.NextEvent(); ok {
-		t.Fatal("NextEvent on an empty queue reported an event")
+	if s.Pending() != 0 {
+		t.Fatalf("pending = %d on an empty queue, want 0", s.Pending())
 	}
 }
 
