@@ -2,6 +2,8 @@ package device
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"poly/internal/sim"
 )
@@ -57,6 +59,9 @@ type Task struct {
 	// KernelIdx is the owner's dense kernel index for Kernel (see
 	// runtime's program interning); opaque to the device layer.
 	KernelIdx int32
+	// seq is the task's position in its GPU's modelled FIFO while queued
+	// there (see GPUDevice); it fills the padding after KernelIdx.
+	seq uint32
 	// PredictedEndMS carries the plan's predicted completion time for
 	// fault-monitor comparison at fire time.
 	PredictedEndMS float64
@@ -64,6 +69,8 @@ type Task struct {
 	// fpga backlinks the board while an FPGA completion event for this
 	// task is in flight (closure-free completion dispatch).
 	fpga *FPGADevice
+	// next links the task to the one behind it in its GPU variant lane.
+	next *Task
 }
 
 // TaskOwner receives a task's lifecycle callbacks. It is the
@@ -192,6 +199,13 @@ type accelBase struct {
 	obs    Observer         // nil when telemetry is disabled
 	res    ResourceObserver // nil when resource accounting is disabled
 	fault  FaultHook        // nil when fault injection is disabled
+
+	// pertID/pertF memoize the last Perturb (pertOK once set): an FPGA
+	// runs its resident bitstream almost always, and a GPU launches the
+	// same widest variant run after run.
+	pertID string
+	pertF  float64
+	pertOK bool
 }
 
 func (b *accelBase) Name() string { return b.name }
@@ -279,19 +293,38 @@ func perturb(dev, impl string, amp float64) float64 {
 	return 1 + amp*u
 }
 
+// perturbMemo is perturb for this board, served from a one-entry cache
+// keyed by impl ID; the factor is a pure function of (board, impl), so
+// the cached value is bit-identical to recomputing it.
+func (b *accelBase) perturbMemo(implID string, amp float64) float64 {
+	if !b.pertOK || implID != b.pertID {
+		b.pertID, b.pertF, b.pertOK = implID, perturb(b.name, implID, amp), true
+	}
+	return b.pertF
+}
+
 // LaunchTrace, when non-nil, receives one callback per GPU launch
 // (device, kernel, batch size, cap, queue remainder, duration) — a
 // diagnostics hook for tests.
 var LaunchTrace func(dev, kernel string, batch, cap, left int, durMS float64)
 
 // GPUDevice simulates one GPU board: a FIFO queue whose head batch (up to
-// the impl's batch capacity, same impl only) executes as one launch, with
-// a DVFS ladder that scales both speed and power.
+// the impl's batch capacity, same kernel only) executes as one launch,
+// with a DVFS ladder that scales both speed and power.
+//
+// The FIFO is stored as per-kernel variant lanes so a launch costs
+// O(batch + lanes) instead of O(queue). Inside each kernel there is one
+// FIFO lane per variant (Batch, LatencyMS bits), linked through the
+// tasks themselves. Every queued task carries its sequence number in the
+// single FIFO the board models, so the head kernel, the batch gather and
+// a failure flush all follow that FIFO's order exactly. Sequence numbers
+// wrap and compare modulo 2^32 (seqBefore): the FIFO's oldest task
+// always leaves with the next launch, so the queued ones never span
+// anywhere near 2^31 submissions.
 type GPUDevice struct {
 	accelBase
 	spec     GPUSpec
 	level    int // index into spec.DVFS
-	queue    []*Task
 	running  bool
 	pending  bool // a launch event is scheduled
 	freeAt   sim.Time
@@ -301,52 +334,39 @@ type GPUDevice struct {
 
 	// batchBuf holds the in-flight launch's batch until its completion
 	// event fires; only one launch runs at a time, so one buffer
-	// suffices. keepBuf is launch's scratch for the queue remainder —
-	// both reused across calls so the steady-state hot path allocates
-	// nothing.
+	// suffices. It is reused across calls so the steady-state hot path
+	// allocates nothing.
 	batchBuf []*Task
-	keepBuf  []*Task
-	// backlog is the queue's per-kernel compression, one group per
-	// queued kernel in first-seen queue order, kept current by Submit and
-	// launch so NextFreeAt costs O(kernels) instead of O(queue).
-	// backlogBuf is launch's scratch for the groups of the remainder.
-	backlog    []gpuGroup
-	backlogBuf []gpuGroup
+
+	// kernels holds every kernel ever queued on the board (a node runs a
+	// handful, so lookup is a linear scan); order lists the non-empty
+	// ones by head sequence number — the FIFO's first-seen kernel order.
+	kernels []gpuKernel
+	order   []int32
+	queued  int    // waiting tasks
+	nextSeq uint32 // sequence number of the next submission
 }
 
-// gpuGroup is one queued kernel's share of the GPU backlog: its task
-// count, the widest batch capacity and the longest latency among them.
-type gpuGroup struct {
-	kernel string
-	n, cap int
-	lat    float64
+// gpuLane is one variant's FIFO inside a kernel: tasks with the same batch
+// capacity and latency, linked head to tail through Task.next. cur is
+// launch's gather cursor.
+type gpuLane struct {
+	batch           int
+	lat             float64
+	head, tail, cur *Task
 }
 
-// addToBacklog folds one queued task into its kernel's group, appending a
-// new group when the kernel is not yet queued. A node runs a handful of
-// kernels, so the linear lookup beats a map and allocates nothing.
-func addToBacklog(groups []gpuGroup, t *Task) []gpuGroup {
-	gi := -1
-	for i := range groups {
-		if groups[i].kernel == t.Kernel {
-			gi = i
-			break
-		}
-	}
-	if gi < 0 {
-		groups = append(groups, gpuGroup{kernel: t.Kernel, cap: 1})
-		gi = len(groups) - 1
-	}
-	gr := &groups[gi]
-	if t.Batch > gr.cap {
-		gr.cap = t.Batch
-	}
-	if t.LatencyMS > gr.lat {
-		gr.lat = t.LatencyMS
-	}
-	gr.n++
-	return groups
+// gpuKernel is one kernel's share of the queue: its non-empty lanes, its
+// task count, and the smallest sequence number among its lane heads.
+type gpuKernel struct {
+	name  string
+	lanes []gpuLane
+	n     int
+	head  uint32
 }
+
+// seqBefore orders two queued tasks' sequence numbers modulo 2^32.
+func seqBefore(a, b uint32) bool { return int32(a-b) < 0 }
 
 // NewGPU attaches a simulated GPU board to a simulator.
 func NewGPU(s *sim.Simulator, name string, spec GPUSpec) *GPUDevice {
@@ -407,14 +427,59 @@ func (g *GPUDevice) Submit(t *Task) {
 		return
 	}
 	t.enqueuedAt = g.sim.Now()
-	g.queue = append(g.queue, t)
-	g.backlog = addToBacklog(g.backlog, t)
+	g.enqueue(t)
 	if !g.running {
 		// (Re-)evaluate at the next event boundary: a new arrival may
 		// complete a batch that was waiting on its window.
 		g.pending = true
 		g.sim.AfterCall(0, fireGPULaunch, g)
 	}
+}
+
+// enqueue appends a task to the tail of its kernel's variant lane,
+// opening the kernel or the lane when it is not yet queued.
+func (g *GPUDevice) enqueue(t *Task) {
+	ki := -1
+	for i := range g.kernels {
+		if g.kernels[i].name == t.Kernel {
+			ki = i
+			break
+		}
+	}
+	if ki < 0 {
+		g.kernels = append(g.kernels, gpuKernel{name: t.Kernel})
+		ki = len(g.kernels) - 1
+	}
+	k := &g.kernels[ki]
+	bits := math.Float64bits(t.LatencyMS)
+	li := -1
+	for i := range k.lanes {
+		if k.lanes[i].batch == t.Batch && math.Float64bits(k.lanes[i].lat) == bits {
+			li = i
+			break
+		}
+	}
+	if li < 0 {
+		k.lanes = append(k.lanes, gpuLane{batch: t.Batch, lat: t.LatencyMS})
+		li = len(k.lanes) - 1
+	}
+	t.seq = g.nextSeq
+	g.nextSeq++
+	t.next = nil
+	l := &k.lanes[li]
+	if l.tail != nil {
+		l.tail.next = t
+	} else {
+		l.head = t
+	}
+	l.tail = t
+	if k.n == 0 {
+		// Every queued task is older, so the kernel joins the order last.
+		k.head = t.seq
+		g.order = append(g.order, int32(ki))
+	}
+	k.n++
+	g.queued++
 }
 
 func fireGPULaunch(_ sim.Time, a any) { a.(*GPUDevice).launch() }
@@ -439,92 +504,82 @@ func (g *GPUDevice) launch() {
 		return
 	}
 	if g.down() {
-		// The board failed while work was queued: flush everything. The
-		// owners' OnFail callbacks re-place the tasks on healthy boards.
-		q := g.queue
-		g.queue = nil
-		g.backlog = g.backlog[:0]
-		g.setPower(g.idlePower())
-		for _, t := range q {
-			g.failTask(t)
-		}
+		g.flush()
 		return
 	}
-	if len(g.queue) == 0 {
+	if g.queued == 0 {
 		g.running = false
 		g.setPower(g.idlePower())
 		return
 	}
-	head := g.queue[0]
-	// Use the widest batch capacity any queued same-kernel variant
-	// offers: a batch-1 variant at the head must not cap a launch that
-	// batched variants behind it could share. The launch executes as that
-	// widest variant, so the task carrying it must be IN the launch — a
-	// capacity justified by a task the batch cannot reach (more narrow
-	// work queued ahead than the launch can carry) would overfill a
-	// narrow variant past its physical batch limit. wi remembers the
-	// first task providing the cap so the gather below reserves it a slot.
-	cap := 1
-	wi := -1
-	for i, t := range g.queue {
-		if t.Kernel == head.Kernel && t.Batch > cap {
-			cap = t.Batch
-			wi = i
+	// The head kernel owns the FIFO's oldest task. Use the widest batch
+	// capacity any of its queued variants offers: a batch-1 variant at the
+	// head must not cap a launch that batched variants behind it could
+	// share. The launch executes as that widest variant, so the task
+	// carrying it must be IN the launch — a capacity justified by a task
+	// the batch cannot reach (more narrow work queued ahead than the launch
+	// can carry) would overfill a narrow variant past its physical batch
+	// limit. The justifier is the oldest task of that width: the smallest
+	// head sequence among the widest lanes (jl; -1 when the cap is 1).
+	k := &g.kernels[g.order[0]]
+	cap, jl := 1, -1
+	for i := range k.lanes {
+		l := &k.lanes[i]
+		l.cur = l.head
+		if l.batch > cap || (jl >= 0 && l.batch == cap && seqBefore(l.head.seq, k.lanes[jl].head.seq)) {
+			cap, jl = l.batch, i
 		}
 	}
-	// Gather up to cap tasks of the head's KERNEL from anywhere in the
-	// queue — a per-kernel batch queue, the way serving systems coalesce
-	// same-model launches. Tasks planned with different implementation
-	// variants of the same kernel still share one launch (the widest
-	// variant): fragmenting batches by directive variant would collapse
-	// the GPU's throughput exactly when the scheduler is load-balancing
-	// variants under pressure. One slot stays reserved for the
-	// cap-justifying task until it is taken. The remainder's backlog
-	// groups are rebuilt alongside it.
+	// Gather up to cap tasks of the head KERNEL in FIFO order by merging
+	// its lane heads — a per-kernel batch queue, the way serving systems
+	// coalesce same-model launches. Tasks planned with different
+	// implementation variants of the same kernel still share one launch
+	// (the widest variant): fragmenting batches by directive variant would
+	// collapse the GPU's throughput exactly when the scheduler is
+	// load-balancing variants under pressure. The last slot stays reserved
+	// for the justifier until it is taken. Only lane prefixes are taken.
 	batch := g.batchBuf[:0]
-	keep := g.keepBuf[:0]
-	rest := g.backlogBuf[:0]
-	capTaken := wi < 0
-	for i, t := range g.queue {
-		if t.Kernel != head.Kernel {
-			keep = append(keep, t)
-			rest = addToBacklog(rest, t)
-			continue
+	justified := jl < 0
+	for len(batch) < cap {
+		next := -1
+		for i := range k.lanes {
+			if c := k.lanes[i].cur; c != nil && (next < 0 || seqBefore(c.seq, k.lanes[next].cur.seq)) {
+				next = i
+			}
 		}
-		slots := cap - len(batch)
-		if i == wi {
-			batch = append(batch, t)
-			capTaken = true
-			continue
+		if next < 0 {
+			break
 		}
-		if !capTaken {
-			slots--
+		if !justified && next != jl && len(batch) == cap-1 {
+			next = jl
 		}
-		if slots > 0 {
-			batch = append(batch, t)
-		} else {
-			keep = append(keep, t)
-			rest = addToBacklog(rest, t)
+		if next == jl {
+			justified = true
 		}
+		l := &k.lanes[next]
+		batch = append(batch, l.cur)
+		l.cur = l.cur.next
 	}
-	g.batchBuf, g.keepBuf, g.backlogBuf = batch, keep, rest
+	g.batchBuf = batch
+	head := batch[0]
 	if len(batch) < cap && head.WindowMS > 0 {
 		deadline := head.enqueuedAt + sim.Time(head.WindowMS)
 		if g.sim.Now() < deadline {
-			// Re-assemble the original queue order and wait out the window.
-			// The backlog groups stay as they are: the queued multiset is
-			// unchanged and the head's kernel still comes first.
-			q := g.queue[:0]
-			q = append(q, batch...)
-			q = append(q, keep...)
-			g.queue = q
+			// Wait out the window. A short batch holds every task of the
+			// head kernel, and the modelled FIFO re-assembles as batch ++
+			// remainder: re-sequence the batch ahead of all other queued
+			// work so a failure flush keeps that order.
+			base := k.head - uint32(len(batch))
+			for i, t := range batch {
+				t.seq = base + uint32(i)
+			}
+			k.head = base
 			g.pending = true
 			g.sim.AtCall(deadline, fireGPULaunch, g)
 			return
 		}
 	}
-	g.queue = append(g.queue[:0], keep...)
-	g.backlog, g.backlogBuf = rest, g.backlog
+	g.dequeue(k, batch)
 
 	lvl := g.spec.DVFS[g.level]
 	latMS := head.LatencyMS
@@ -543,7 +598,7 @@ func (g *GPUDevice) launch() {
 	g.tasks += len(batch)
 	g.busyMS += float64(dur)
 	if LaunchTrace != nil {
-		LaunchTrace(g.name, head.Kernel, len(batch), cap, len(keep), float64(dur))
+		LaunchTrace(g.name, head.Kernel, len(batch), cap, g.queued, float64(dur))
 	}
 	start := g.sim.Now()
 	if g.obs != nil {
@@ -562,28 +617,115 @@ func (g *GPUDevice) launch() {
 	g.sim.AfterCall(dur, fireGPUDone, g)
 }
 
+// dequeue unlinks the batch — a prefix of each lane of the head kernel k,
+// ending at the lane's gather cursor — and moves k to its new place in
+// the kernel order.
+func (g *GPUDevice) dequeue(k *gpuKernel, batch []*Task) {
+	k.n -= len(batch)
+	g.queued -= len(batch)
+	ki := g.order[0]
+	if k.n == 0 {
+		clear(k.lanes)
+		k.lanes = k.lanes[:0]
+		g.order = append(g.order[:0], g.order[1:]...)
+	} else {
+		first := true
+		for i := 0; i < len(k.lanes); {
+			l := &k.lanes[i]
+			if l.head = l.cur; l.head == nil {
+				// Lane order carries no meaning: swap-remove the empty lane.
+				last := len(k.lanes) - 1
+				k.lanes[i] = k.lanes[last]
+				k.lanes[last] = gpuLane{}
+				k.lanes = k.lanes[:last]
+				continue
+			}
+			if first || seqBefore(l.head.seq, k.head) {
+				k.head, first = l.head.seq, false
+			}
+			i++
+		}
+		// Every other kernel keeps its head; slide k past the older ones.
+		i := 1
+		for i < len(g.order) && seqBefore(g.kernels[g.order[i]].head, k.head) {
+			g.order[i-1] = g.order[i]
+			i++
+		}
+		g.order[i-1] = ki
+	}
+	for _, t := range batch {
+		t.next = nil
+	}
+}
+
+// flush fails every queued task in FIFO order: the board failed while
+// work was queued. The owners' OnFail callbacks re-place the tasks on
+// healthy boards.
+func (g *GPUDevice) flush() {
+	q := g.appendQueued(g.batchBuf[:0])
+	for _, ki := range g.order {
+		clear(g.kernels[ki].lanes)
+		g.kernels[ki].lanes = g.kernels[ki].lanes[:0]
+		g.kernels[ki].n = 0
+	}
+	g.order = g.order[:0]
+	g.queued = 0
+	g.setPower(g.idlePower())
+	for _, t := range q {
+		t.next = nil
+		g.failTask(t)
+	}
+	clear(q)
+	g.batchBuf = q[:0]
+}
+
+// appendQueued appends the waiting tasks to dst in FIFO (sequence) order.
+func (g *GPUDevice) appendQueued(dst []*Task) []*Task {
+	n := len(dst)
+	for _, ki := range g.order {
+		for _, l := range g.kernels[ki].lanes {
+			for t := l.head; t != nil; t = t.next {
+				dst = append(dst, t)
+			}
+		}
+	}
+	slices.SortFunc(dst[n:], func(a, b *Task) int { return int(int32(a.seq - b.seq)) })
+	return dst
+}
+
 // NextFreeAt reports when the board could start another launch, counting
 // the queue's accumulated work at the current DVFS point. The backlog is
 // batch-compressed: each kernel's queued tasks coalesce into
 // ceil(n/batch) launches of its longest latency, summed in first-seen
-// queue order.
+// queue order. A kernel's widest cap and longest latency come from its
+// lanes, so the cost is O(kernels × variants), not O(queue).
 func (g *GPUDevice) NextFreeAt() sim.Time {
 	at := g.sim.Now()
 	if g.running && g.freeAt > at {
 		at = g.freeAt
 	}
 	lvl := g.spec.DVFS[g.level]
-	for i := range g.backlog {
-		gr := &g.backlog[i]
-		launches := (gr.n + gr.cap - 1) / gr.cap
-		at += sim.Time(float64(launches) * gr.lat / lvl.FreqScale)
+	for _, ki := range g.order {
+		k := &g.kernels[ki]
+		cap, lat := 1, 0.0
+		for i := range k.lanes {
+			l := &k.lanes[i]
+			if l.batch > cap {
+				cap = l.batch
+			}
+			if l.lat > lat {
+				lat = l.lat
+			}
+		}
+		launches := (k.n + cap - 1) / cap
+		at += sim.Time(float64(launches) * lat / lvl.FreqScale)
 	}
 	return at
 }
 
 // QueueLen returns waiting plus running launches.
 func (g *GPUDevice) QueueLen() int {
-	n := len(g.queue)
+	n := g.queued
 	if g.running {
 		n++
 	}
@@ -591,7 +733,7 @@ func (g *GPUDevice) QueueLen() int {
 }
 
 // Perturb implements Accelerator with a ±4 % deterministic noise band.
-func (g *GPUDevice) Perturb(implID string) float64 { return perturb(g.name, implID, 0.04) }
+func (g *GPUDevice) Perturb(implID string) float64 { return g.perturbMemo(implID, 0.04) }
 
 // FPGADevice simulates one FPGA board: a request pipeline for the loaded
 // bitstream, with reconfiguration when the implementation changes and a
@@ -824,7 +966,7 @@ func (f *FPGADevice) NextFreeAt() sim.Time {
 func (f *FPGADevice) QueueLen() int { return len(f.queue) + f.inflight }
 
 // Perturb implements Accelerator with a ±5 % deterministic noise band.
-func (f *FPGADevice) Perturb(implID string) float64 { return perturb(f.name, implID, 0.05) }
+func (f *FPGADevice) Perturb(implID string) float64 { return f.perturbMemo(implID, 0.05) }
 
 var (
 	_ Accelerator = (*GPUDevice)(nil)

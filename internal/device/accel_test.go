@@ -237,6 +237,17 @@ func TestPerturbDeterministicAndBounded(t *testing.T) {
 			t.Fatalf("FPGA perturb %v outside ±5%%", pf)
 		}
 	}
+	// The one-entry memo must serve exactly perturb's factor whether the
+	// impl repeats (a hit) or alternates (a miss every call), "" included.
+	ids := []string{"a", "a", "b", "a", "", "", "lstm/GPU wg=256", "b", "b", "x/y/z", "a"}
+	for i, id := range ids {
+		if got, want := g.Perturb(id), perturb(g.name, id, 0.04); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: GPU Perturb(%q) = %v, perturb %v", i, id, got, want)
+		}
+		if got, want := f.Perturb(id), perturb(f.name, id, 0.05); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: FPGA Perturb(%q) = %v, perturb %v", i, id, got, want)
+		}
+	}
 }
 
 func TestAccelStringers(t *testing.T) {

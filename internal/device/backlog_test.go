@@ -10,9 +10,9 @@ import (
 )
 
 // scanNextFreeAt is the reference for GPUDevice.NextFreeAt: the O(queue)
-// scan that compresses the live queue into per-kernel groups in
-// first-seen order on every call. The device keeps those groups current
-// incrementally; the two must agree bit for bit.
+// scan that walks the live queue in FIFO (sequence) order and compresses
+// it into per-kernel groups in first-seen order on every call. The device
+// derives those groups from its lanes; the two must agree bit for bit.
 func scanNextFreeAt(g *GPUDevice) sim.Time {
 	at := g.sim.Now()
 	if g.running && g.freeAt > at {
@@ -20,7 +20,7 @@ func scanNextFreeAt(g *GPUDevice) sim.Time {
 	}
 	lvl := g.spec.DVFS[g.level]
 	var groups []gpuGroup
-	for _, t := range g.queue {
+	for _, t := range g.appendQueued(nil) {
 		gi := -1
 		for i := range groups {
 			if groups[i].kernel == t.Kernel {
@@ -59,8 +59,8 @@ func (f *switchableFault) ReconfigAborts(string, string, sim.Time) bool { return
 
 // TestGPUBacklogMatchesScan drives randomized sequences of submissions,
 // launches, batch-window waits, DVFS changes and board failures through a
-// GPU and checks after every event that the incrementally kept backlog
-// prices NextFreeAt exactly like the full queue scan.
+// GPU and checks after every event that the lane-derived backlog prices
+// NextFreeAt exactly like the full queue scan.
 func TestGPUBacklogMatchesScan(t *testing.T) {
 	kernels := []string{"fe", "gmm", "dnn", "stem"}
 	batches := []int{1, 1, 2, 4, 8, 16}
@@ -76,7 +76,7 @@ func TestGPUBacklogMatchesScan(t *testing.T) {
 			got, want := g.NextFreeAt(), scanNextFreeAt(g)
 			if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
 				t.Fatalf("seed %d step %d after %s: NextFreeAt %v, queue scan %v (queue %d)",
-					seed, step, what, got, want, len(g.queue))
+					seed, step, what, got, want, g.queued)
 			}
 		}
 		for step := 0; step < 1500; step++ {
@@ -104,12 +104,12 @@ func TestGPUBacklogMatchesScan(t *testing.T) {
 				g.SetDVFS(rng.Intn(len(g.spec.DVFS)))
 			default:
 				what = "failure"
-				if !fault.down && len(g.queue) > 0 {
+				if !fault.down && g.queued > 0 {
 					flushes++
 				}
 				fault.down = !fault.down
 			}
-			if g.pending && !g.running && len(g.queue) > 0 {
+			if g.pending && !g.running && g.queued > 0 {
 				windowWaits++
 			}
 			check(step, what)
@@ -117,8 +117,8 @@ func TestGPUBacklogMatchesScan(t *testing.T) {
 		fault.down = false
 		s.Run()
 		check(-1, "drain")
-		if len(g.backlog) != 0 {
-			t.Fatalf("seed %d: drained GPU keeps %d backlog groups", seed, len(g.backlog))
+		if g.queued != 0 || len(g.order) != 0 {
+			t.Fatalf("seed %d: drained GPU keeps %d tasks in %d kernels", seed, g.queued, len(g.order))
 		}
 	}
 	if windowWaits == 0 || flushes == 0 {
@@ -148,3 +148,43 @@ func BenchmarkGPUNextFreeAt(b *testing.B) {
 
 // nextFreeSink keeps the benchmarked call from being optimized away.
 var nextFreeSink sim.Time
+
+// resubmitter puts every completed task straight back on its GPU, so a
+// benchmark's queue holds its depth across launches.
+type resubmitter struct{ g *GPUDevice }
+
+func (r resubmitter) TaskStarted(*Task, sim.Time)  {}
+func (r resubmitter) TaskDone(t *Task, _ sim.Time) { r.g.Submit(t) }
+func (r resubmitter) TaskFailed(*Task, sim.Time)   {}
+
+// BenchmarkGPULaunch prices one GPU launch — batch gather, completion and
+// the resubmissions that refill the queue — at a shallow and at a
+// saturated queue depth: four kernels interleaved, each queued under
+// variants of batch capacity 1, 4, 8 and 16.
+func BenchmarkGPULaunch(b *testing.B) {
+	caps := []int{1, 4, 8, 16}
+	for _, depth := range []int{10, 2500} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			s := sim.New()
+			g := NewGPU(s, "gpu0", AMDW9100)
+			for i := 0; i < depth; i++ {
+				k := fmt.Sprintf("k%d", i%4)
+				c := caps[(i/4)%len(caps)]
+				g.Submit(&Task{Kernel: k, ImplID: fmt.Sprintf("%s|b%d", k, c), LatencyMS: 2, IntervalMS: 2,
+					Batch: c, PowerW: 150, Owner: resubmitter{g}})
+			}
+			s.Step()
+			launches, tasks, _ := g.Launches()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for n := g.launches; g.launches == n; {
+					s.Step()
+				}
+			}
+			b.StopTimer()
+			l, t, _ := g.Launches()
+			b.ReportMetric(float64(t-tasks)/float64(l-launches), "tasks/launch")
+		})
+	}
+}

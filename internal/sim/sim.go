@@ -8,9 +8,13 @@
 //
 // Events live in a simulator-owned arena: scheduling reuses slots from a
 // free list instead of allocating, and the queue is a flat 4-ary indexed
-// heap over slot indices. Callers refer to scheduled events through
-// generation-counted Handles, so Cancel on an event that already fired
-// (and whose slot was recycled) is a safe no-op.
+// heap over slot indices beside a sorted FIFO run: an event scheduled at
+// or after the run's tail (every arrival of a trace injected in time
+// order) is appended to the run in O(1) instead of sifting through the
+// heap, and each step fires whichever of the two fronts is earlier.
+// Callers refer to scheduled events through generation-counted Handles,
+// so Cancel on an event that already fired (and whose slot was recycled)
+// is a safe no-op.
 package sim
 
 import "fmt"
@@ -38,8 +42,10 @@ type Handle struct {
 // for that.
 func (h Handle) Valid() bool { return h.gen != 0 }
 
-// eventSlot is one arena entry. A slot is either pending (heapIdx >= 0)
-// or on the free list (heapIdx < 0, nextFree links the list).
+// eventSlot is one arena entry. A slot is pending in the heap (heapIdx >=
+// 0), pending in the run (slotInRun), a cancelled run entry waiting for
+// the run to drop it (slotTombstone), or on the free list (slotFree;
+// nextFree links the list).
 type eventSlot struct {
 	at       Time
 	seq      uint64
@@ -54,16 +60,31 @@ type eventSlot struct {
 	action func()
 }
 
+// Slot states besides a heap position.
+const (
+	slotFree      = -1
+	slotInRun     = -2
+	slotTombstone = -3
+)
+
 // Simulator is a single-threaded discrete-event simulator. The zero value
 // is not usable; construct with New.
 type Simulator struct {
-	now    Time
-	seq    uint64
-	slots  []eventSlot
-	free   int32 // head of the free-slot list; -1 when empty
-	heap   []int32
-	fired  uint64
-	halted bool
+	now   Time
+	seq   uint64
+	slots []eventSlot
+	free  int32 // head of the free-slot list; -1 when empty
+	heap  []int32
+	// run is a ring of slot indices (length a power of two) holding
+	// runLen entries from runHead, in increasing (at, seq) order.
+	// Cancelled entries stay as tombstones until they reach the front,
+	// which is always live; runLive counts the live ones.
+	run     []int32
+	runHead int
+	runLen  int
+	runLive int
+	fired   uint64
+	halted  bool
 }
 
 // New returns a simulator with the clock at zero and an empty event queue.
@@ -78,10 +99,13 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Pending returns the number of events still scheduled.
-func (s *Simulator) Pending() int { return len(s.heap) }
+func (s *Simulator) Pending() int { return len(s.heap) + s.runLive }
 
 // schedule claims an arena slot for an event at the (past-clamped) time
-// and pushes it on the heap. The caller fills in the callback fields.
+// and queues it: appended to the run when it is not earlier than the
+// run's tail — its seq is the largest yet, so the run stays sorted by
+// (at, seq) — and pushed on the heap otherwise. The caller fills in the
+// callback fields.
 func (s *Simulator) schedule(at Time) (int32, Handle) {
 	if at < s.now {
 		at = s.now
@@ -98,7 +122,11 @@ func (s *Simulator) schedule(at Time) (int32, Handle) {
 	e.at = at
 	e.seq = s.seq
 	s.seq++
-	s.heapPush(idx)
+	if s.runLen == 0 || at >= s.slots[s.run[(s.runHead+s.runLen-1)&(len(s.run)-1)]].at {
+		s.runPush(idx)
+	} else {
+		s.heapPush(idx)
+	}
 	return idx, Handle{idx: idx, gen: e.gen}
 }
 
@@ -107,7 +135,7 @@ func (s *Simulator) schedule(at Time) (int32, Handle) {
 func (s *Simulator) release(idx int32) {
 	e := &s.slots[idx]
 	e.gen++
-	e.heapIdx = -1
+	e.heapIdx = slotFree
 	e.fn = nil
 	e.arg = nil
 	e.action = nil
@@ -157,17 +185,30 @@ func (s *Simulator) AfterCall(d Duration, fn func(Time, any), arg any) Handle {
 // Cancel removes a scheduled event. Cancelling an event that already
 // fired, was already cancelled, or whose Handle is zero is a no-op and
 // returns false — the slot generation check makes stale Handles inert
-// even after the slot has been reused by a later event.
+// even after the slot has been reused by a later event. A run entry
+// becomes a tombstone: its generation is bumped at once, and its slot is
+// recycled only when the run drops it.
 func (s *Simulator) Cancel(h Handle) bool {
 	if h.gen == 0 || int(h.idx) >= len(s.slots) {
 		return false
 	}
 	e := &s.slots[h.idx]
-	if e.gen != h.gen || e.heapIdx < 0 {
+	if e.gen != h.gen {
 		return false
 	}
-	s.heapRemove(e.heapIdx)
-	s.release(h.idx)
+	switch {
+	case e.heapIdx >= 0:
+		s.heapRemove(e.heapIdx)
+		s.release(h.idx)
+	case e.heapIdx == slotInRun:
+		e.gen++
+		e.heapIdx = slotTombstone
+		e.fn, e.arg, e.action = nil, nil, nil
+		s.runLive--
+		s.runDropTombstones()
+	default:
+		return false
+	}
 	return true
 }
 
@@ -180,16 +221,26 @@ func (s *Simulator) Halt() { s.halted = true }
 // before the callback runs, so callbacks that schedule new events reuse
 // it immediately.
 func (s *Simulator) Step() bool {
-	if len(s.heap) == 0 {
+	idx := s.next()
+	if idx < 0 {
 		return false
 	}
-	idx := s.heap[0]
-	n := len(s.heap) - 1
-	s.heap[0] = s.heap[n]
-	s.slots[s.heap[0]].heapIdx = 0
-	s.heap = s.heap[:n]
-	if n > 1 {
-		s.siftDown(0)
+	s.fire(idx)
+	return true
+}
+
+// fire dequeues the earliest event, idx (from next), and runs it.
+func (s *Simulator) fire(idx int32) {
+	if s.slots[idx].heapIdx == slotInRun {
+		s.runPop()
+	} else {
+		n := len(s.heap) - 1
+		s.heap[0] = s.heap[n]
+		s.slots[s.heap[0]].heapIdx = 0
+		s.heap = s.heap[:n]
+		if n > 1 {
+			s.siftDown(0)
+		}
 	}
 	e := &s.slots[idx]
 	s.now = e.at
@@ -201,7 +252,6 @@ func (s *Simulator) Step() bool {
 	} else if action != nil {
 		action()
 	}
-	return true
 }
 
 // Run fires events until the queue is empty or Halt is called.
@@ -216,8 +266,12 @@ func (s *Simulator) Run() {
 // after deadline remain queued.
 func (s *Simulator) RunUntil(deadline Time) {
 	s.halted = false
-	for !s.halted && len(s.heap) > 0 && s.slots[s.heap[0]].at <= deadline {
-		s.Step()
+	for !s.halted {
+		idx := s.next()
+		if idx < 0 || s.slots[idx].at > deadline {
+			break
+		}
+		s.fire(idx)
 	}
 	if !s.halted && s.now < deadline {
 		s.now = deadline
@@ -243,15 +297,73 @@ func (s *Simulator) SeqMark() uint64 { return s.seq }
 // stay queued and fire on the next advance past the deadline.
 func (s *Simulator) RunUntilBarrier(deadline Time, mark uint64) {
 	s.halted = false
-	for !s.halted && len(s.heap) > 0 {
-		e := &s.slots[s.heap[0]]
+	for !s.halted {
+		idx := s.next()
+		if idx < 0 {
+			break
+		}
+		e := &s.slots[idx]
 		if e.at > deadline || (e.at == deadline && e.seq >= mark) {
 			break
 		}
-		s.Step()
+		s.fire(idx)
 	}
 	if !s.halted && s.now < deadline {
 		s.now = deadline
+	}
+}
+
+// next returns the slot of the earliest pending event — the lesser of the
+// heap's top and the run's front — or -1 when none is pending.
+func (s *Simulator) next() int32 {
+	if s.runLen == 0 {
+		if len(s.heap) == 0 {
+			return -1
+		}
+		return s.heap[0]
+	}
+	r := s.run[s.runHead]
+	if len(s.heap) > 0 && s.less(s.heap[0], r) {
+		return s.heap[0]
+	}
+	return r
+}
+
+// runPush appends a slot to the run's tail, doubling the ring when full.
+func (s *Simulator) runPush(idx int32) {
+	if s.runLen == len(s.run) {
+		grown := make([]int32, max(2*len(s.run), 64))
+		for i := 0; i < s.runLen; i++ {
+			grown[i] = s.run[(s.runHead+i)&(len(s.run)-1)]
+		}
+		s.run, s.runHead = grown, 0
+	}
+	s.run[(s.runHead+s.runLen)&(len(s.run)-1)] = idx
+	s.runLen++
+	s.runLive++
+	s.slots[idx].heapIdx = slotInRun
+}
+
+// runPop removes the run's (live) front entry, then drops any tombstones
+// that reach the front.
+func (s *Simulator) runPop() {
+	s.runHead = (s.runHead + 1) & (len(s.run) - 1)
+	s.runLen--
+	s.runLive--
+	s.runDropTombstones()
+}
+
+// runDropTombstones recycles cancelled entries at the run's front, so the
+// front is always a live event (or the run is empty).
+func (s *Simulator) runDropTombstones() {
+	for s.runLen > 0 {
+		idx := s.run[s.runHead]
+		if s.slots[idx].heapIdx != slotTombstone {
+			return
+		}
+		s.runHead = (s.runHead + 1) & (len(s.run) - 1)
+		s.runLen--
+		s.release(idx)
 	}
 }
 
@@ -338,5 +450,5 @@ func (s *Simulator) heapRemove(pos int32) {
 			s.siftUp(int(pos))
 		}
 	}
-	s.slots[removed].heapIdx = -1
+	s.slots[removed].heapIdx = slotFree
 }
